@@ -425,6 +425,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     config = RunConfig(output_format=args.format, seed=args.seed)
     try:
+        if numerics.ENV_ERROR is not None:
+            raise numerics.ENV_ERROR
         if args.precision is not None:
             numerics.set_precision(args.precision)
             config.precision_bits = args.precision

@@ -31,6 +31,7 @@ from .numerics import (
     MobiusMap,
     close,
     epsilon,
+    first_collision,
     format_point,
     solve_quadratic,
     to_complex,
@@ -75,11 +76,10 @@ class Genus2Equation:
         for eta in (self.eta1, self.eta2):
             root = sqrt(eta)
             pts.extend([root, -root])
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if close(pts[i], pts[j]):
-                    raise InvalidDomain("genus-2 branch points collide: %s"
-                                        % format_point(pts[i]))
+        pair = first_collision(pts)
+        if pair is not None:
+            raise InvalidDomain("genus-2 branch points collide: %s"
+                                % format_point(pts[pair[0]]))
 
     def normalizing_map(self) -> MobiusMap:
         """The map sending (1, eta1, eta2) to (1, inf, 0).

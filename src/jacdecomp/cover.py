@@ -17,10 +17,10 @@ from mpmath import mpc
 
 from .numerics import (
     DomainError,
+    first_collision,
     format_point,
     is_infinity,
     point_sort_key,
-    points_equal,
     to_point,
 )
 
@@ -39,19 +39,22 @@ class DependentBasis(DomainError):
 
 # GF(2) linear algebra on int bitmasks
 
-def gf2_rank(vectors: Iterable[int]) -> int:
-    """Rank of a set of bit vectors over GF(2)."""
+def _echelon(vectors: Iterable[int]) -> dict[int, int]:
+    """Gaussian elimination: a basis of the span keyed by leading bit.
+
+    The basis vectors appear in the order their inputs were first found
+    independent; every other GF(2) operation here goes through this one.
+    """
     pivots: dict[int, int] = {}
-    rank = 0
     for v in vectors:
         v = _reduce(v, pivots)
         if v:
             pivots[v.bit_length() - 1] = v
-            rank += 1
-    return rank
+    return pivots
 
 
 def _reduce(v: int, pivots: dict[int, int]) -> int:
+    """Remainder of v modulo an echelon basis: zero exactly on the span."""
     while v:
         head = v.bit_length() - 1
         if head not in pivots:
@@ -60,13 +63,13 @@ def _reduce(v: int, pivots: dict[int, int]) -> int:
     return 0
 
 
+def gf2_rank(vectors: Iterable[int]) -> int:
+    """Rank of a set of bit vectors over GF(2)."""
+    return len(_echelon(vectors))
+
+
 def gf2_in_span(v: int, vectors: Iterable[int]) -> bool:
-    pivots: dict[int, int] = {}
-    for u in vectors:
-        u = _reduce(u, pivots)
-        if u:
-            pivots[u.bit_length() - 1] = u
-    return _reduce(v, pivots) == 0
+    return _reduce(v, _echelon(vectors)) == 0
 
 
 def pairing(functional: int, vector: int) -> int:
@@ -121,12 +124,10 @@ class CoverModel:
             total ^= vector
         if total:
             raise ValueError("branch vectors do not XOR to zero (no sphere cover)")
-        pts = [p for p, _ in self.branch]
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if points_equal(pts[i], pts[j]):
-                    raise ValueError("branch points coincide within tolerance: %s"
-                                     % format_point(pts[i]))
+        pair = first_collision(self.points)
+        if pair is not None:
+            raise ValueError("branch points coincide within tolerance: %s"
+                             % format_point(self.branch[pair[0]].point))
 
     @property
     def vectors(self) -> list[int]:
@@ -159,17 +160,25 @@ class FactorCurve:
         return any(is_infinity(r) for r in self.roots)
 
 
-def factor_curve_from_branch_set(points, leading=1) -> FactorCurve:
-    """Build the monic-by-default factor curve branched over the given set."""
-    pts = sorted((to_point(p) for p in points), key=point_sort_key)
-    if len(pts) % 2:
-        raise ValueError("a double cover of the sphere needs an even branch count")
-    genus = len(pts) // 2 - 1
-    return FactorCurve(leading=mpc(leading), roots=tuple(pts), genus=genus)
+def _sorted_branch(c: CoverModel) -> list:
+    """Branch data ordered by point_sort_key (stable).
+
+    Filtering this list gives every subset already in its own sorted order,
+    so one sort serves all functionals.
+    """
+    return sorted(c.branch, key=lambda datum: point_sort_key(datum.point))
+
+
+def _odd_points(branch, functional: int) -> tuple:
+    """The points whose vector pairs to 1 with the functional, in list order."""
+    return tuple([p for p, v in branch if (functional & v).bit_count() & 1])
 
 
 @dataclass(frozen=True)
 class DecompositionReport:
+    """Positive-genus index-two factors of a connected cover; kani_rosen_ok
+    is the genus-sum check genus_sum == total_genus (see decompose)."""
+
     total_genus: int
     factors: tuple  # of (functional, FactorCurve), functionals ascending
     genus_sum: int
@@ -216,15 +225,17 @@ def fixed_point_count(c: CoverModel, element: int) -> int:
     return hits * (1 << (c.rank - 1))
 
 
-def _normalize_subgroup(c: CoverModel, subgroup) -> list[int]:
-    """Accept an index-two functional (int) or an explicit basis (iterable)."""
+def _normalize_subgroup(c: CoverModel, subgroup) -> dict[int, int]:
+    """Echelon basis of an index-two kernel (functional int) or of an
+    explicit basis (iterable), which must be independent."""
     if isinstance(subgroup, int):
-        return functional_kernel_basis(subgroup, c.rank)
+        return _echelon(functional_kernel_basis(subgroup, c.rank))
     basis = [int(v) for v in subgroup]
-    if gf2_rank(basis) != len(basis):
+    pivots = _echelon(basis)
+    if len(pivots) != len(basis):
         raise DependentBasis("subgroup basis is GF(2)-dependent: %s"
                              % [bin(v) for v in basis])
-    return basis
+    return pivots
 
 
 def quotient_genus(c: CoverModel, subgroup) -> int:
@@ -235,9 +246,12 @@ def quotient_genus(c: CoverModel, subgroup) -> int:
     """
     if component_count(c) != 1:
         raise Disconnected("quotient genus requires a connected cover")
-    basis = _normalize_subgroup(c, subgroup)
-    index = 1 << (c.rank - gf2_rank(basis))
-    outside = sum(1 for v in c.vectors if not gf2_in_span(v, basis))
+    return _quotient_genus(c, _normalize_subgroup(c, subgroup))
+
+
+def _quotient_genus(c: CoverModel, pivots: dict[int, int]) -> int:
+    index = 1 << (c.rank - len(pivots))
+    outside = sum(1 for _, v in c.branch if _reduce(v, pivots))
     quarter, rem = divmod(index * outside, 4)
     if rem:
         raise ValueError("inconsistent ramification parity in quotient")
@@ -254,38 +268,37 @@ def quotient_equation(c: CoverModel, functional: int) -> FactorCurve:
         raise Disconnected("quotient equation requires a connected cover")
     if functional == 0:
         raise ZeroElement("functional must be nonzero")
-    branch = [p for p, v in c.branch if pairing(functional, v)]
-    return factor_curve_from_branch_set(branch)
+    roots = _odd_points(_sorted_branch(c), functional)
+    return FactorCurve(leading=mpc(1), roots=roots, genus=len(roots) // 2 - 1)
 
 
 def decompose(c: CoverModel) -> DecompositionReport:
     """Enumerate all index-two quotients and collect the positive-genus factors.
 
-    Factors are listed by ascending functional bitmask.  The report is
-    marked consistent when the factor genera sum to the total genus and the
-    pairwise joins of the factor subgroups exhaust the deck group, which for
-    kernels of distinct nonzero functionals is automatic (two distinct
-    hyperplanes of GF(2)^n always span everything).
+    Factors are listed by ascending functional bitmask.  The branch is
+    sorted once; each of the 2^n - 1 functionals then costs one pass over
+    it.  kani_rosen_ok is the genus-sum check: the joins of distinct
+    index-two kernels are always the whole deck group (two distinct
+    hyperplanes of GF(2)^n span everything), and the subgroups of an
+    abelian group commute, so the sum is the only condition left.
     """
     g_total = total_genus(c)
+    branch = _sorted_branch(c)
+    one = mpc(1)
     factors = []
     genus_sum = 0
-    vectors = c.vectors
     for functional in range(1, 1 << c.rank):
-        outside = sum(1 for v in vectors if pairing(functional, v))
-        genus = outside // 2 - 1
+        roots = _odd_points(branch, functional)
+        genus = len(roots) // 2 - 1
         if genus < 1:
             continue
-        branch = [p for p, v in c.branch if pairing(functional, v)]
-        factors.append((functional, factor_curve_from_branch_set(branch)))
+        factors.append((functional, FactorCurve(leading=one, roots=roots, genus=genus)))
         genus_sum += genus
-    joins_full = len({f for f, _ in factors}) == len(factors)
-    ok = joins_full and genus_sum == g_total
     return DecompositionReport(
         total_genus=g_total,
         factors=tuple(factors),
         genus_sum=genus_sum,
-        kani_rosen_ok=ok,
+        kani_rosen_ok=genus_sum == g_total,
     )
 
 
@@ -326,22 +339,12 @@ def kani_rosen_criterion(c: CoverModel, subgroups) -> KaniRosenDiagnostics:
     diag = KaniRosenDiagnostics(commuting_ok=True, total_genus=total_genus(c))
     for i in range(len(bases)):
         for j in range(i + 1, len(bases)):
-            join_genus = quotient_genus(c, _independent(bases[i] + bases[j]))
+            join = _echelon([*bases[i].values(), *bases[j].values()])
+            join_genus = _quotient_genus(c, join)
             if join_genus != 0:
                 diag.join_failures.append(((i, j), join_genus))
-    diag.genus_sum = sum(quotient_genus(c, basis) for basis in bases)
+    diag.genus_sum = sum(_quotient_genus(c, pivots) for pivots in bases)
     return diag
-
-
-def _independent(vectors: list[int]) -> list[int]:
-    pivots: dict[int, int] = {}
-    out = []
-    for v in vectors:
-        v = _reduce(v, pivots)
-        if v:
-            pivots[v.bit_length() - 1] = v
-            out.append(v)
-    return out
 
 
 # Exact genus-sum identities behind the two families

@@ -17,6 +17,7 @@ from .numerics import (
     NotInvolution,
     close,
     cross_ratio_lambda,
+    first_collision,
     format_point,
     points_equal,
     to_complex,
@@ -40,12 +41,11 @@ def require_admissible(value, name: str = "lambda") -> mpc:
 def require_admissible_tuple(values, name: str = "lambda") -> list[mpc]:
     """Check a tuple of admissible, pairwise-distinct parameters."""
     out = [require_admissible(v, "%s_%d" % (name, i + 1)) for i, v in enumerate(values)]
-    for i in range(len(out)):
-        for j in range(i + 1, len(out)):
-            if close(out[i], out[j]):
-                raise InvalidDomain(
-                    "%s_%d and %s_%d coincide within tolerance (%s)"
-                    % (name, i + 1, name, j + 1, format_point(out[i])))
+    pair = first_collision(out)
+    if pair is not None:
+        i, j = pair
+        raise InvalidDomain("%s_%d and %s_%d coincide within tolerance (%s)"
+                            % (name, i + 1, name, j + 1, format_point(out[i])))
     return out
 
 

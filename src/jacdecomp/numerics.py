@@ -8,9 +8,11 @@ single global tolerance, default 1e-9.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass
+from itertools import combinations
 
 from mpmath import isfinite, mp, mpc, mpf, sqrt
 
@@ -60,7 +62,29 @@ def epsilon() -> mpf:
     return _epsilon
 
 
-set_precision(int(os.environ.get(_PRECISION_ENV, DEFAULT_PRECISION_BITS)))
+def _precision_from_env() -> int:
+    """The precision named by JACDECOMP_PRECISION, or the default when unset."""
+    text = os.environ.get(_PRECISION_ENV)
+    if text is None:
+        return DEFAULT_PRECISION_BITS
+    try:
+        bits = int(text)
+    except ValueError:
+        bits = 0
+    if bits < 53:
+        raise ValueError("%s must be an integer of at least 53 bits, got %r"
+                         % (_PRECISION_ENV, text))
+    return bits
+
+
+# A bad JACDECOMP_PRECISION leaves the default in force, so the package still
+# imports; the command line reports ENV_ERROR and exits 2.
+try:
+    set_precision(_precision_from_env())
+    ENV_ERROR = None
+except ValueError as exc:
+    set_precision(DEFAULT_PRECISION_BITS)
+    ENV_ERROR = exc
 _epsilon = mpf(DEFAULT_EPSILON)
 
 
@@ -112,6 +136,47 @@ def points_equal(p, q) -> bool:
     if is_infinity(p) or is_infinity(q):
         return is_infinity(p) and is_infinity(q)
     return close(p, q)
+
+
+def first_collision(points):
+    """The first pair (i, j), i < j, of points equal within tolerance, or None.
+
+    The answer is the one a scan of every pair with points_equal in (i, j)
+    order gives, but only pairs whose real parts, as doubles, lie within
+    twice the tolerance plus rounding slack are tested.  When a real part or
+    the tolerance does not fit a double, every pair is tested.
+    """
+    pts = list(points)
+    candidates = _collision_candidates(pts)
+    if candidates is None:
+        candidates = combinations(range(len(pts)), 2)
+    for i, j in candidates:
+        if points_equal(pts[i], pts[j]):
+            return i, j
+    return None
+
+
+def _collision_candidates(pts):
+    """Sorted index pairs that may collide (sort and sweep on the real parts),
+    or None when the doubles cannot bound them."""
+    try:
+        finite = sorted((complex(p).real, k) for k, p in enumerate(pts)
+                        if not is_infinity(p))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    top = max((abs(x) for x, _ in finite), default=0.0)
+    window = 2 * float(_epsilon) + top * 2.0 ** -50 + 2.0 ** -1070
+    if not all(math.isfinite(x) for x, _ in finite) or not math.isfinite(window):
+        return None
+    pairs = list(combinations([k for k, p in enumerate(pts) if is_infinity(p)], 2))
+    for a, (x, i) in enumerate(finite):
+        b = a + 1
+        while b < len(finite) and finite[b][0] - x <= window:
+            j = finite[b][1]
+            pairs.append((min(i, j), max(i, j)))
+            b += 1
+    pairs.sort()
+    return pairs
 
 
 def point_sort_key(p):
@@ -185,7 +250,7 @@ def parse_complex(text: str) -> mpc:
             return inner
         if not rest.startswith("/"):
             raise ValueError("malformed literal %r" % text)
-        return inner / _parse_real(rest[1:])
+        return _double_range(inner / _parse_real(rest[1:]), text)
     parts = _split_terms(s)
     real = mpf(0)
     imag = mpf(0)
@@ -211,7 +276,14 @@ def parse_complex(text: str) -> mpc:
                 raise ValueError("repeated real part in %r" % text)
             real = value
             seen_real = True
-    return mpc(real, imag)
+    return _double_range(mpc(real, imag), text)
+
+
+def _double_range(z: mpc, text: str) -> mpc:
+    """Reject a value whose parts overflow a double: it would render as inf."""
+    if math.isinf(float(z.real)) or math.isinf(float(z.imag)):
+        raise ValueError("literal %r exceeds the double range" % text)
+    return z
 
 
 def _split_terms(s: str) -> list[str]:
@@ -304,13 +376,10 @@ def mobius_apply(m: MobiusMap, p):
 
 def _require_distinct(points) -> None:
     pts = list(points)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if points_equal(pts[i], pts[j]):
-                raise CollidingPoints(
-                    "points %s and %s coincide within tolerance"
-                    % (format_point(pts[i]), format_point(pts[j]))
-                )
+    pair = first_collision(pts)
+    if pair is not None:
+        raise CollidingPoints("points %s and %s coincide within tolerance"
+                              % (format_point(pts[pair[0]]), format_point(pts[pair[1]])))
 
 
 def mobius_to_standard(p1, p2, p3) -> MobiusMap:

@@ -189,6 +189,37 @@ def test_precision_flag(capsys):
     assert mpmath.mp.prec == 160
 
 
+def test_overflowing_literal_exits_2(capsys):
+    status, out, err = run_cli(capsys, "construct", "irreducible",
+                               "--lambdas", "1e400,2,3", "--format", "json")
+    assert status == 2
+    assert out == ""
+    assert err == "error: literal '1e400' exceeds the double range\n"
+
+
+def python_with_precision_env(value, *args):
+    env = dict(os.environ)
+    env.pop("JACDECOMP_PRECISION", None)
+    if value is not None:
+        env["JACDECOMP_PRECISION"] = value
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_bad_precision_env_variable_exits_2():
+    for value in ("abc", "52", ""):
+        out = python_with_precision_env(value, "-m", "jacdecomp.cli", "verify", "bound",
+                                        "--r", "4")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == ("error: JACDECOMP_PRECISION must be an integer of at "
+                              "least 53 bits, got %r\n" % value)
+
+
+def test_unset_precision_env_variable_keeps_default():
+    out = python_with_precision_env(None, "-c", "import jacdecomp, mpmath; print(mpmath.mp.prec)")
+    assert out.stdout.strip() == "128"
+
+
 def test_console_entry_point():
     out = subprocess.run([sys.executable, "-m", "jacdecomp.cli",
                           "verify", "bound", "--r", "4"],

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from mpmath import mpc
 
 from jacdecomp.constructions import (
     ReducibleParams,
@@ -77,6 +78,14 @@ def test_model_rejects_nonzero_total_monodromy():
 def test_model_rejects_coincident_points():
     with pytest.raises(ValueError):
         CoverModel(2, [(2, 0b01), (2 + 1e-12, 0b01)])
+
+
+def test_model_collision_message_names_first_pair():
+    # pairs (0, 3) and (1, 2) both collide; (0, 3) comes first
+    with pytest.raises(ValueError, match=r"^branch points coincide within tolerance: 5$"):
+        CoverModel(2, [(5, 0b01), (mpc(3, 1), 0b11), (mpc(3, 1 + 1e-10), 0b01), (5, 0b11)])
+    with pytest.raises(ValueError, match=r"^branch points coincide within tolerance: inf$"):
+        CoverModel(2, [(INFINITY, 0b01), (3, 0b11), (INFINITY, 0b10)])
 
 
 def test_model_rejects_oversized_vector():

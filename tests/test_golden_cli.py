@@ -1,0 +1,88 @@
+"""Golden CLI corpus: fixed invocations whose stdout must stay byte-identical.
+
+Each case runs ``jacdecomp <argv> --format json`` in-process and compares
+stdout with ``tests/golden/<name>.json`` byte for byte.  The expected files
+were recorded before the decomposition and validation rewrites that they
+guard.  To re-record after an intended output change:
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import pathlib
+import sys
+
+import pytest
+
+from jacdecomp import cli
+
+GOLDEN = pathlib.Path(__file__).with_name("golden")
+
+CASES = {
+    "decompose_irreducible_r3": ["decompose", "irreducible", "--lambdas", "2,3,4"],
+    "decompose_irreducible_r4": ["decompose", "irreducible", "--lambdas",
+                                 "2,-1.5,0.3+1.1i,3/4"],
+    "decompose_irreducible_r5": ["decompose", "irreducible", "--lambdas",
+                                 "2,-2i,(4+1.4142135623730951i)/3,-0.7+0.2i,5"],
+    "decompose_irreducible_r6": ["decompose", "irreducible", "--lambdas",
+                                 "1.5+1.5i,1.5-1.5i,-1,2.25,0.5i,-2.5-0.4i"],
+    "decompose_irreducible_r7": ["decompose", "irreducible", "--lambdas",
+                                 "2,3,4,5,6,7,8"],
+    "decompose_irreducible_r8": ["decompose", "irreducible",
+                                 "--lambdas=-1,-2,-3,1/3,2/3,1+i,1-i,0.1+2.9i"],
+    # two distinct points whose sort keys tie at double precision
+    "decompose_irreducible_key_tie": ["decompose", "irreducible", "--lambdas",
+                                      "100000000,100000000.000000005,3"],
+    "decompose_chain_r5": ["decompose", "reducible", "--chain", "2,3,4,5,6"],
+    "decompose_chain_r6": ["decompose", "reducible", "--chain",
+                           "2,-1.5,0.3+1.1i,3/4,-2i,5"],
+    "decompose_chain_r7": ["decompose", "reducible", "--chain",
+                           "2,3,4,5,6,7,8"],
+    "decompose_chain_r8": ["decompose", "reducible", "--chain",
+                           "1.5+1.5i,1.5-1.5i,2.25,0.5i,-2.5-0.4i,3,-0.7+0.2i,2.5+2i"],
+    "decompose_chain_r9": ["decompose", "reducible", "--chain",
+                           "2,-1.5,0.3+1.1i,3/4,-2i,5,-0.7+0.2i,2.5+2i,-2.75"],
+    "decompose_genus2": ["decompose", "genus2", "--l1", "2", "--l2", "0.3+1.1i"],
+    "decompose_genus9": ["decompose", "genus9", "--lambda", "2", "--mu", "0.3+1.1i"],
+    "verify_g5": ["verify", "g5", "--l1", "2", "--l2", "5"],
+    "verify_g13": ["verify", "g13", "--l1", "2", "--l2", "(4+1.4142135623730951i)/3"],
+    "construct_chain_r7_p256": ["construct", "reducible", "--chain",
+                                "2,3,4,5,6,7,8", "--precision", "256"],
+}
+
+
+def render(argv, capsys):
+    status = cli.main(argv + ["--format", "json"])
+    return status, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_cli_output(name, capsys):
+    status, out = render(CASES[name], capsys)
+    assert status == 0
+    assert out == (GOLDEN / (name + ".json")).read_text()
+
+
+def _record() -> None:
+    import contextlib
+    import io
+
+    import mpmath
+
+    from jacdecomp import numerics
+
+    GOLDEN.mkdir(exist_ok=True)
+    prec, eps = mpmath.mp.prec, numerics.epsilon()
+    for name, argv in sorted(CASES.items()):
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            status = cli.main(argv + ["--format", "json"])
+        mpmath.mp.prec = prec
+        numerics.set_epsilon(eps)
+        if status != 0:
+            raise SystemExit("%s exited %d" % (name, status))
+        (GOLDEN / (name + ".json")).write_text(buffer.getvalue())
+        print("recorded", name)
+
+
+if __name__ == "__main__":
+    sys.exit(_record())

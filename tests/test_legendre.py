@@ -52,6 +52,15 @@ def test_admissibility():
     require_admissible_tuple([2, 3, mpc(0, 1)])
 
 
+def test_tuple_collision_message_names_first_pair():
+    with pytest.raises(InvalidDomain) as info:
+        require_admissible_tuple([2, 3, 2 + 1e-12, 3])
+    assert str(info.value) == "lambda_1 and lambda_3 coincide within tolerance (2)"
+    with pytest.raises(InvalidDomain) as info:
+        require_admissible_tuple([mpc(2, 1), 3, 3 - 1e-10j], name="p")
+    assert str(info.value) == "p_2 and p_3 coincide within tolerance (3)"
+
+
 def test_orbit_of_two():
     orbit = s3_orbit(2)
     assert match_multiset(orbit, [mpc(2), mpc(0.5), mpc(-1)])

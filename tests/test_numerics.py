@@ -130,6 +130,24 @@ def test_cross_ratio_rejects_collisions():
         cross_ratio_lambda(INFINITY, 0, 1, 1 + 1e-12)
 
 
+def test_collision_messages_name_first_pair():
+    cases = [
+        ((0, 1, 1 + 1e-12, 1), "points 1 and 1.0000000000010001 coincide within tolerance"),
+        ((INFINITY, 0, 1, INFINITY), "points inf and inf coincide within tolerance"),
+    ]
+    for points, message in cases:
+        with pytest.raises(CollidingPoints) as info:
+            cross_ratio_lambda(*points)
+        assert str(info.value) == message
+
+
+def test_parse_complex_rejects_double_overflow():
+    for bad in ("1e400", "-1e400", "2+1e309i", "(1e300+i)/1e-300"):
+        with pytest.raises(ValueError, match="exceeds the double range"):
+            parse_complex(bad)
+    assert format_complex(parse_complex("1.5e308")) == "1.5e+308"
+
+
 def test_to_standard_sends_triple():
     rng = random.Random(15)
     for _ in range(20):

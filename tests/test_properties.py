@@ -1,0 +1,106 @@
+"""Property tests: decompose against brute force, GF(2) elimination against
+explicit spans, and the sort-and-sweep collision search against the full
+pairwise scan."""
+
+import random
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mpc, mpf
+
+from jacdecomp.cover import (
+    _echelon,
+    decompose,
+    gf2_in_span,
+    gf2_rank,
+    pairing,
+    quotient_equation,
+    quotient_genus,
+    total_genus,
+)
+from jacdecomp.numerics import (
+    INFINITY,
+    epsilon,
+    first_collision,
+    point_sort_key,
+    points_equal,
+)
+
+from helpers import random_cover_model
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@SETTINGS
+@given(st.integers(0, 2 ** 32))
+def test_decompose_matches_brute_force(seed):
+    model = random_cover_model(random.Random(seed))
+    report = decompose(model)
+    factors = dict(report.factors)
+    for functional in range(1, 1 << model.rank):
+        genus = quotient_genus(model, functional)
+        roots = sorted((p for p, v in model.branch if pairing(functional, v)),
+                       key=point_sort_key)
+        if genus < 1:
+            assert functional not in factors
+            continue
+        curve = factors[functional]
+        assert curve.genus == genus == len(roots) // 2 - 1
+        assert curve.roots == tuple(roots)
+        assert curve == quotient_equation(model, functional)
+    assert report.genus_sum == report.total_genus == total_genus(model)
+    assert report.kani_rosen_ok
+
+
+def _span(vectors):
+    span = {0}
+    for v in vectors:
+        span |= {u ^ v for u in span}
+    return span
+
+
+@SETTINGS
+@given(st.lists(st.integers(0, 255), max_size=10), st.integers(0, 255))
+def test_elimination_rank_is_log_of_span(vectors, probe):
+    span = _span(vectors)
+    rank = gf2_rank(vectors)
+    assert len(_echelon(vectors)) == rank
+    assert 1 << rank == len(span)
+    assert _span(_echelon(vectors).values()) == span
+    assert gf2_in_span(probe, vectors) == (probe in span)
+
+
+def _scan(points):
+    for i, j in combinations(range(len(points)), 2):
+        if points_equal(points[i], points[j]):
+            return i, j
+    return None
+
+
+_BASES = st.one_of(
+    st.builds(mpc, st.floats(-5, 5), st.floats(-5, 5)),
+    st.sampled_from([mpc(0), mpc(1), mpc(1e8), mpc(-2.5, 1e-3),
+                     mpc(mpf("1e400"), 1), mpc(1, mpf("-1e400")), mpc(1e300, 2)]),
+)
+# offsets in units of epsilon, straddling the tolerance
+_STEPS = st.sampled_from([0, 0.5, 1, -1, 1 - 1e-6, 1 + 1e-6, -(1 + 1e-6), 2, 1e6])
+
+
+@st.composite
+def near_duplicate_points(draw):
+    points = draw(st.lists(_BASES, min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 6))):
+        base = points[draw(st.integers(0, len(points) - 1))]
+        step = draw(_STEPS) * epsilon()
+        direction = draw(st.sampled_from([1, -1, 1j, -1j, (1 + 1j) / 2 ** 0.5]))
+        points.append(base + step * mpc(direction))
+    for _ in range(draw(st.integers(0, 2))):
+        points.append(INFINITY)
+    return draw(st.permutations(points))
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_duplicate_points())
+def test_first_collision_matches_full_scan(points):
+    assert first_collision(points) == _scan(points)
