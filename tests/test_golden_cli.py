@@ -1,9 +1,10 @@
 """Golden CLI corpus: fixed invocations whose stdout must stay byte-identical.
 
-Each case runs ``jacdecomp <argv> --format json`` in-process and compares
-stdout with ``tests/golden/<name>.json`` byte for byte.  The expected files
-were recorded before the decomposition and validation rewrites that they
-guard.  To re-record after an intended output change:
+Each case in ``CASES`` runs ``jacdecomp <argv> --format json`` in-process and
+compares stdout with ``tests/golden/<name>.json`` byte for byte; each case in
+``TEXT_CASES`` runs ``jacdecomp <argv>`` (text format) against
+``tests/golden/<name>.txt``.  The expected files were recorded before the
+rewrites that they guard.  To re-record after an intended output change:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -47,19 +48,50 @@ CASES = {
     "verify_g13": ["verify", "g13", "--l1", "2", "--l2", "(4+1.4142135623730951i)/3"],
     "construct_chain_r7_p256": ["construct", "reducible", "--chain",
                                 "2,3,4,5,6,7,8", "--precision", "256"],
+    "construct_genus2": ["construct", "genus2", "--l1", "2", "--l2", "0.3+1.1i"],
+    "construct_irreducible": ["construct", "irreducible", "--lambdas",
+                              "2,-1.5,0.3+1.1i,3/4"],
+    "construct_reducible_mu": ["construct", "reducible", "--lambda", "2",
+                               "--mu", "5,7,0.3+1.1i,-2i"],
+    "construct_genus9": ["construct", "genus9", "--lambda", "2", "--mu", "0.3+1.1i"],
+    "verify_crosscheck_s3": ["verify", "crosscheck", "--s", "3", "--seed", "7"],
+    "verify_crosscheck_s4": ["verify", "crosscheck", "--s", "4", "--seed", "7"],
+    "verify_crosscheck_s5": ["verify", "crosscheck", "--s", "5", "--seed", "7"],
+    "verify_identities_max6": ["verify", "identities", "--max", "6"],
+    "verify_bound_r6": ["verify", "bound", "--r", "6"],
+    "verify_bound_r7": ["verify", "bound", "--r", "7"],
+}
+
+TEXT_CASES = {
+    "construct_genus2_text": ["construct", "genus2", "--l1", "2", "--l2", "-1"],
+    "construct_irreducible_text": ["construct", "irreducible", "--lambdas", "2,3,4"],
+    "construct_reducible_mu_text": ["construct", "reducible", "--lambda", "2",
+                                    "--mu", "5,7"],
+    "construct_reducible_chain_text": ["construct", "reducible", "--chain", "2,3,4,5"],
+    "construct_genus9_text": ["construct", "genus9", "--lambda", "2", "--mu", "0.3+1.1i"],
+    "decompose_genus2_text": ["decompose", "genus2", "--l1", "2", "--l2", "0.3+1.1i"],
+    "verify_bound_r6_text": ["verify", "bound", "--r", "6"],
 }
 
 
-def render(argv, capsys):
-    status = cli.main(argv + ["--format", "json"])
+def golden_file(name: str) -> pathlib.Path:
+    return GOLDEN / (name + (".json" if name in CASES else ".txt"))
+
+
+def full_argv(name: str) -> list:
+    return CASES[name] + ["--format", "json"] if name in CASES else TEXT_CASES[name]
+
+
+def render(name, capsys):
+    status = cli.main(full_argv(name))
     return status, capsys.readouterr().out
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", sorted(CASES) + sorted(TEXT_CASES))
 def test_golden_cli_output(name, capsys):
-    status, out = render(CASES[name], capsys)
+    status, out = render(name, capsys)
     assert status == 0
-    assert out == (GOLDEN / (name + ".json")).read_text()
+    assert out == golden_file(name).read_text()
 
 
 def _record() -> None:
@@ -72,15 +104,15 @@ def _record() -> None:
 
     GOLDEN.mkdir(exist_ok=True)
     prec, eps = mpmath.mp.prec, numerics.epsilon()
-    for name, argv in sorted(CASES.items()):
+    for name in sorted(CASES) + sorted(TEXT_CASES):
         buffer = io.StringIO()
         with contextlib.redirect_stdout(buffer):
-            status = cli.main(argv + ["--format", "json"])
+            status = cli.main(full_argv(name))
         mpmath.mp.prec = prec
         numerics.set_epsilon(eps)
         if status != 0:
             raise SystemExit("%s exited %d" % (name, status))
-        (GOLDEN / (name + ".json")).write_text(buffer.getvalue())
+        golden_file(name).write_text(buffer.getvalue())
         print("recorded", name)
 
 
