@@ -1,74 +1,11 @@
 """Construction and desk-scale verification of Riemann-surface families
-whose Jacobians decompose into products of low-genus factors."""
+whose Jacobians decompose into products of low-genus factors.
 
-from .numerics import (
-    INFINITY,
-    CollidingPoints,
-    DegenerateLeadingCoefficient,
-    DomainError,
-    MobiusMap,
-    NotInvolution,
-    cross_ratio_lambda,
-    epsilon,
-    format_complex,
-    format_point,
-    is_infinity,
-    mobius_apply,
-    parse_complex,
-    parse_point,
-    precision,
-    set_epsilon,
-    set_precision,
-    solve_quadratic,
-)
-from .legendre import (
-    InvalidDomain,
-    PairingResult,
-    branch_set_pairing,
-    j_invariant,
-    lambda_of_quartic,
-    s3_orbit,
-    same_curve,
-)
-from .cover import (
-    BranchDatum,
-    CoverModel,
-    DecompositionReport,
-    DependentBasis,
-    Disconnected,
-    FactorCurve,
-    ZeroElement,
-    component_count,
-    component_genus,
-    decompose,
-    fixed_point_count,
-    irreducible_genus_sum_identity,
-    kani_rosen_criterion,
-    quotient_equation,
-    quotient_genus,
-    reducible_genus_sum_identity,
-    total_genus,
-)
-from .constructions import (
-    ConstraintViolated,
-    DegenerateParameter,
-    Genus2Equation,
-    NoValidRoot,
-    OutOfRange,
-    ReducibleParams,
-    build_genus2,
-    build_irreducible,
-    build_raw_fiber_product,
-    build_reducible,
-    chain_with_auxiliary,
-    check_genus13_family,
-    check_genus5_family,
-    derive_equations_reducible,
-    factor_lambda_invariant,
-    genus9_parameters,
-    genus_upper_bound,
-    solve_mu_chain,
-    solve_mu_genus3,
-)
+The submodules are the API: numerics, legendre, cover, constructions, cli.
+"""
+
+# Importing numerics applies JACDECOMP_PRECISION, so a plain
+# `import jacdecomp` already runs at the configured precision.
+from . import numerics  # noqa: F401
 
 __version__ = "0.1.0"

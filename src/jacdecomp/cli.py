@@ -12,7 +12,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 from mpmath import mpc
 
@@ -21,14 +20,6 @@ from . import cover, legendre, numerics
 from .numerics import format_point, parse_point
 
 DIGITS = 17
-
-
-@dataclass
-class RunConfig:
-    precision_bits: int = numerics.DEFAULT_PRECISION_BITS
-    epsilon: str = numerics.DEFAULT_EPSILON
-    output_format: str = "text"
-    seed: int = 0
 
 
 def fmt(value) -> str:
@@ -41,7 +32,7 @@ def functional_bits(functional: int, rank: int) -> str:
 
 
 def render_factor_curve(curve: cover.FactorCurve, var: str = "x") -> str:
-    terms = [fmt(curve.leading)]
+    terms = ["1"]
     for root in curve.finite_roots:
         terms.append("(%s - %s)^1" % (var, fmt(root)))
     return "y^2 = " + " * ".join(terms)
@@ -70,94 +61,87 @@ def _parse_values(text: str) -> list:
     return [parse_point(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _pairs(mu) -> list:
+    return [[fmt(a), fmt(b)] for a, b in mu]
+
+
+def _build_genus2(args) -> dict:
+    l1, l2 = parse_point(args.l1), parse_point(args.l2)
+    equation, model = cons.build_genus2(l1, l2)
+    eta1, eta2 = fmt(equation.eta1), fmt(equation.eta2)
+    return {
+        "model": model,
+        "candidates": [l1, l2],
+        "construction": {"type": "genus2", "l1": fmt(l1), "l2": fmt(l2),
+                         "eta1": eta1, "eta2": eta2},
+        "equations": ["y^2 = (x^2 - 1) * (x^2 - %s) * (x^2 - %s)" % (eta1, eta2)],
+    }
+
+
+def _build_irreducible(args) -> dict:
+    values = _parse_values(args.lambdas)
+    return {
+        "model": cons.build_irreducible(values),
+        "candidates": values,
+        "construction": {"type": "irreducible", "r": len(values),
+                         "lambdas": [fmt(v) for v in values]},
+        "equations": ["y_%d^2 = (x - 0)^1 * (x - 1)^1 * (x - %s)^1" % (j + 1, fmt(v))
+                      for j, v in enumerate(values)],
+    }
+
+
+def _two_component(params, candidates, construction: dict) -> dict:
+    """Model and rendered equations of a two-component family instance."""
+    return {
+        "model": cons.build_reducible(params),
+        "candidates": candidates,
+        "construction": construction,
+        "equations": [render_curve_equation(eq)
+                      for eq in cons.derive_equations_reducible(params)],
+    }
+
+
+def _build_reducible(args) -> dict:
+    if args.chain:
+        if args.lam is not None or args.mu is not None:
+            raise legendre.InvalidDomain("--chain cannot be combined with --lambda or --mu")
+        chain = cons.chain_with_auxiliary(_parse_values(args.chain))
+        params = cons.solve_mu_chain(chain)
+        candidates, extra = list(chain), {"chain": [fmt(v) for v in chain]}
+    else:
+        if args.lam is None or args.mu is None:
+            raise legendre.InvalidDomain(
+                "reducible needs either --chain or both --lambda and --mu")
+        mus = _parse_values(args.mu)
+        if len(mus) < 2 or len(mus) % 2:
+            raise legendre.InvalidDomain("--mu needs an even number (>= 2) of values")
+        params = cons.ReducibleParams(parse_point(args.lam), tuple(zip(mus[::2], mus[1::2])))
+        candidates, extra = params.flat(), {}
+    return _two_component(params, candidates, {
+        "type": "reducible", "s": params.s, "lambda": fmt(params.lam),
+        "mu": _pairs(params.mu), **extra})
+
+
+def _build_genus9(args) -> dict:
+    lam, mu = parse_point(args.lam), parse_point(args.mu)
+    params = cons.genus9_parameters(lam, mu)
+    return _two_component(params, params.flat(), {
+        "type": "genus9", "lambda": fmt(lam), "mu": fmt(mu),
+        "derived_mu": _pairs(params.mu)})
+
+
+BUILDERS = {
+    "genus2": _build_genus2,
+    "reducible": _build_reducible,
+    "irreducible": _build_irreducible,
+    "genus9": _build_genus9,
+}
+
+
 def build_from_args(args) -> dict:
-    """Resolve a construction subcommand into model, params and metadata."""
-    kind = args.construction
-    if kind == "genus2":
-        l1, l2 = parse_point(args.l1), parse_point(args.l2)
-        equation, model = cons.build_genus2(l1, l2)
-        return {
-            "type": "genus2",
-            "model": model,
-            "candidates": [l1, l2],
-            "construction": {
-                "type": "genus2",
-                "l1": fmt(l1),
-                "l2": fmt(l2),
-                "eta1": fmt(equation.eta1),
-                "eta2": fmt(equation.eta2),
-            },
-            "equations": ["y^2 = (x^2 - 1) * (x^2 - %s) * (x^2 - %s)"
-                          % (fmt(equation.eta1), fmt(equation.eta2))],
-        }
-    if kind == "reducible":
-        if args.chain:
-            chain = cons.chain_with_auxiliary(_parse_values(args.chain))
-            params = cons.solve_mu_chain(chain)
-            candidates = list(chain)
-            extra = {"chain": [fmt(v) for v in chain]}
-        else:
-            if args.lam is None or args.mu is None:
-                raise legendre.InvalidDomain(
-                    "reducible needs either --chain or both --lambda and --mu")
-            mus = _parse_values(args.mu)
-            if len(mus) < 2 or len(mus) % 2:
-                raise legendre.InvalidDomain(
-                    "--mu needs an even number (>= 2) of values")
-            pairs = tuple((mus[i], mus[i + 1]) for i in range(0, len(mus), 2))
-            params = cons.ReducibleParams(parse_point(args.lam), pairs)
-            candidates = params.flat()
-            extra = {}
-        model = cons.build_reducible(params)
-        equations = cons.derive_equations_reducible(params)
-        info = {
-            "type": "reducible",
-            "s": params.s,
-            "lambda": fmt(params.lam),
-            "mu": [[fmt(a), fmt(b)] for a, b in params.mu],
-        }
-        info.update(extra)
-        return {
-            "type": "reducible",
-            "model": model,
-            "candidates": candidates,
-            "construction": info,
-            "equations": [render_curve_equation(eq) for eq in equations],
-        }
-    if kind == "irreducible":
-        values = _parse_values(args.lambdas)
-        model = cons.build_irreducible(values)
-        eqs = ["y_%d^2 = (x - 0)^1 * (x - 1)^1 * (x - %s)^1" % (j + 1, fmt(v))
-               for j, v in enumerate(values)]
-        return {
-            "type": "irreducible",
-            "model": model,
-            "candidates": values,
-            "construction": {
-                "type": "irreducible",
-                "r": len(values),
-                "lambdas": [fmt(v) for v in values],
-            },
-            "equations": eqs,
-        }
-    if kind == "genus9":
-        lam, mu = parse_point(args.lam), parse_point(args.mu)
-        params = cons.genus9_parameters(lam, mu)
-        model = cons.build_reducible(params)
-        equations = cons.derive_equations_reducible(params)
-        return {
-            "type": "genus9",
-            "model": model,
-            "candidates": params.flat(),
-            "construction": {
-                "type": "genus9",
-                "lambda": fmt(lam),
-                "mu": fmt(mu),
-                "derived_mu": [[fmt(a), fmt(b)] for a, b in params.mu],
-            },
-            "equations": [render_curve_equation(eq) for eq in equations],
-        }
-    raise legendre.InvalidDomain("unknown construction %r" % kind)
+    """Resolve a construction subcommand into its model, the parameters that
+    tag genus-1 factors, the construction record and the equations."""
+    return BUILDERS[args.construction](args)
 
 
 def _common_options() -> argparse.ArgumentParser:
@@ -167,8 +151,6 @@ def _common_options() -> argparse.ArgumentParser:
                         help="working precision in bits (>= 53)")
     common.add_argument("--epsilon", default=None,
                         help="comparison tolerance (default 1e-9)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized cross-checks")
     return common
 
 
@@ -195,7 +177,7 @@ def _add_construction_parsers(sub, common) -> None:
 # Commands
 
 
-def cmd_construct(args, config: RunConfig) -> tuple[dict, int]:
+def cmd_construct(args) -> tuple[dict, int]:
     built = build_from_args(args)
     model = built["model"]
     payload = {
@@ -208,7 +190,7 @@ def cmd_construct(args, config: RunConfig) -> tuple[dict, int]:
     return payload, 0
 
 
-def cmd_decompose(args, config: RunConfig) -> tuple[dict, int]:
+def cmd_decompose(args) -> tuple[dict, int]:
     built = build_from_args(args)
     model = built["model"]
     report = cover.decompose(model)
@@ -240,9 +222,11 @@ def cmd_decompose(args, config: RunConfig) -> tuple[dict, int]:
     return payload, 0 if report.kani_rosen_ok else 1
 
 
-def cmd_verify(args, config: RunConfig) -> tuple[dict, int]:
+def cmd_verify(args) -> tuple[dict, int]:
     checks: dict[str, dict] = {}
     if args.verification == "identities":
+        if args.max < 3:
+            raise cons.OutOfRange("identities are stated for --max >= 3, got %d" % args.max)
         for s in range(3, args.max + 1):
             lhs, rhs = cover.reducible_genus_sum_identity(s)
             checks["reducible_s%d" % s] = {"pass": lhs == rhs, "lhs": lhs, "rhs": rhs}
@@ -293,21 +277,9 @@ def cmd_verify(args, config: RunConfig) -> tuple[dict, int]:
             "construction_genus": via_chain,
         }
     elif args.verification == "crosscheck":
-        checks.update(_crosscheck(args.s, config.seed))
+        checks.update(_crosscheck(args.s, args.seed))
     ok = all(entry["pass"] for entry in checks.values())
     return {"checks": checks, "ok": ok}, 0 if ok else 1
-
-
-def _random_admissible(rng: random.Random, count: int) -> list[mpc]:
-    values: list[mpc] = []
-    while len(values) < count:
-        z = mpc(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        if abs(z) < 0.1 or abs(z - 1) < 0.1:
-            continue
-        if any(abs(z - v) < 0.1 for v in values):
-            continue
-        values.append(z)
-    return values
 
 
 def _crosscheck(s: int, seed: int) -> dict:
@@ -317,12 +289,12 @@ def _crosscheck(s: int, seed: int) -> dict:
     rng = random.Random(seed)
     checks: dict[str, dict] = {}
     if s == 3:
-        l1, l2, l3 = _random_admissible(rng, 3)
+        l1, l2, l3 = legendre.random_admissible(rng, 3)
         mu = cons.solve_mu_genus3(l1, l2, l3)
         params = cons.ReducibleParams(l1, ((mu, l3 * mu),))
         reference = cons.reference_system_s3(l1, l3, mu)
     else:
-        draw = _random_admissible(rng, 2 * s - 3)
+        draw = legendre.random_admissible(rng, 2 * s - 3)
         params = cons.ReducibleParams(
             draw[0],
             tuple((draw[1 + 2 * k], draw[2 + 2 * k]) for k in range(s - 2)))
@@ -359,8 +331,8 @@ def _crosscheck(s: int, seed: int) -> dict:
 # Output and entry point
 
 
-def emit(payload: dict, config: RunConfig) -> None:
-    if config.output_format == "json":
+def emit(payload: dict, output_format: str) -> None:
+    if output_format == "json":
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
         return
     _emit_text(payload)
@@ -417,32 +389,30 @@ def make_parser() -> argparse.ArgumentParser:
     cross = checks.add_parser("crosscheck", parents=[common],
                               help="equation-system cross-checks")
     cross.add_argument("--s", type=int, required=True)
+    cross.add_argument("--seed", type=int, default=0,
+                       help="seed for the random parameters and sample points")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig(output_format=args.format, seed=args.seed)
+    args = make_parser().parse_args(argv)
     try:
         if numerics.ENV_ERROR is not None:
             raise numerics.ENV_ERROR
         if args.precision is not None:
             numerics.set_precision(args.precision)
-            config.precision_bits = args.precision
         if args.epsilon is not None:
             numerics.set_epsilon(args.epsilon)
-            config.epsilon = args.epsilon
         handler = {
             "construct": cmd_construct,
             "decompose": cmd_decompose,
             "verify": cmd_verify,
         }[args.command]
-        payload, status = handler(args, config)
+        payload, status = handler(args)
     except (numerics.DomainError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    emit(payload, config)
+    emit(payload, args.format)
     return status
 
 

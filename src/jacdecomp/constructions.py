@@ -21,7 +21,7 @@ from .legendre import (
     InvalidDomain,
     PairingResult,
     branch_set_pairing,
-    lambda_of_quartic,
+    cross_ratio_lambda,
     require_admissible_tuple,
     same_curve,
 )
@@ -313,11 +313,11 @@ def solve_mu_genus3(l1, l2, l3) -> mpc:
         except InvalidDomain as exc:
             failures.append(str(exc))
             continue
-        if not same_curve(l2, lambda_of_quartic(1, l1, mu, l3 * mu)):
+        if not same_curve(l2, cross_ratio_lambda(1, l1, mu, l3 * mu)):
             failures.append("orbit oracle for second factor failed at mu=%s"
                             % format_point(mu))
             continue
-        if not same_curve(l3, lambda_of_quartic(INFINITY, 0, mu, l3 * mu)):
+        if not same_curve(l3, cross_ratio_lambda(INFINITY, 0, mu, l3 * mu)):
             failures.append("orbit oracle for third factor failed at mu=%s"
                             % format_point(mu))
             continue
@@ -393,10 +393,10 @@ def solve_mu_chain(lambdas) -> ReducibleParams:
             except InvalidDomain as exc:
                 failures.append(str(exc))
                 continue
-            if not same_curve(ratio, lambda_of_quartic(INFINITY, 0, mu1, mu2)):
+            if not same_curve(ratio, cross_ratio_lambda(INFINITY, 0, mu1, mu2)):
                 failures.append("ratio oracle failed at pair %d" % j)
                 continue
-            if not same_curve(target, lambda_of_quartic(1, lam, mu1, mu2)):
+            if not same_curve(target, cross_ratio_lambda(1, lam, mu1, mu2)):
                 failures.append("target oracle failed at pair %d" % j)
                 continue
             chosen = (mu1, mu2)
@@ -541,7 +541,7 @@ def factor_lambda_invariant(curve: FactorCurve) -> mpc:
     if curve.genus != 1:
         raise ValueError("lambda invariant requires a genus-1 factor")
     p1, p2, p3, p4 = curve.roots
-    return lambda_of_quartic(p1, p2, p3, p4)
+    return cross_ratio_lambda(p1, p2, p3, p4)
 
 
 # ---------------------------------------------------------------------------

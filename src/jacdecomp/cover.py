@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, NamedTuple
 
-from mpmath import mpc
-
 from .numerics import (
     DomainError,
     first_collision,
@@ -140,14 +138,13 @@ class CoverModel:
 
 @dataclass(frozen=True)
 class FactorCurve:
-    """A hyperelliptic equation y^2 = leading * prod (x - root).
+    """A hyperelliptic equation y^2 = prod (x - root).
 
     The root list is the branch set of the double cover; when it contains
     the point at infinity the corresponding linear factor is deleted from
     the equation (odd degree), which the genus count accounts for.
     """
 
-    leading: mpc
     roots: tuple
     genus: int
 
@@ -190,15 +187,21 @@ def component_count(c: CoverModel) -> int:
     return 1 << (c.rank - gf2_rank(c.vectors))
 
 
+def _riemann_hurwitz(m: int, b: int) -> int:
+    """Riemann-Hurwitz: genus 1 - m + m b / 4 of a connected degree-m
+    (Z/2)^k cover of the sphere with b branch values, all of index 2."""
+    quarter, rem = divmod(m * b, 4)
+    if rem:
+        raise ValueError("inconsistent branch data: %d * %d branch values is not "
+                         "a multiple of 4" % (m, b))
+    return 1 - m + quarter
+
+
 def total_genus(c: CoverModel) -> int:
     """Genus of a connected cover via Riemann-Hurwitz over the sphere."""
     if component_count(c) != 1:
         raise Disconnected("cover has %d components" % component_count(c))
-    n, b = c.rank, len(c.branch)
-    quarter, rem = divmod(b << n, 4)
-    if rem:
-        raise ValueError("inconsistent branch data for total genus")
-    return 1 - (1 << n) + quarter
+    return _riemann_hurwitz(1 << c.rank, len(c.branch))
 
 
 def component_genus(c: CoverModel) -> int:
@@ -207,12 +210,7 @@ def component_genus(c: CoverModel) -> int:
     A component is the connected cover with deck group the span V of the
     monodromy vectors, so its genus is 1 - |V| + B |V| / 4.
     """
-    size = 1 << gf2_rank(c.vectors)
-    b = len(c.branch)
-    quarter, rem = divmod(b * size, 4)
-    if rem:
-        raise ValueError("inconsistent branch data for component genus")
-    return 1 - size + quarter
+    return _riemann_hurwitz(1 << gf2_rank(c.vectors), len(c.branch))
 
 
 def fixed_point_count(c: CoverModel, element: int) -> int:
@@ -250,12 +248,8 @@ def quotient_genus(c: CoverModel, subgroup) -> int:
 
 
 def _quotient_genus(c: CoverModel, pivots: dict[int, int]) -> int:
-    index = 1 << (c.rank - len(pivots))
     outside = sum(1 for _, v in c.branch if _reduce(v, pivots))
-    quarter, rem = divmod(index * outside, 4)
-    if rem:
-        raise ValueError("inconsistent ramification parity in quotient")
-    return 1 - index + quarter
+    return _riemann_hurwitz(1 << (c.rank - len(pivots)), outside)
 
 
 def quotient_equation(c: CoverModel, functional: int) -> FactorCurve:
@@ -269,7 +263,7 @@ def quotient_equation(c: CoverModel, functional: int) -> FactorCurve:
     if functional == 0:
         raise ZeroElement("functional must be nonzero")
     roots = _odd_points(_sorted_branch(c), functional)
-    return FactorCurve(leading=mpc(1), roots=roots, genus=len(roots) // 2 - 1)
+    return FactorCurve(roots=roots, genus=len(roots) // 2 - 1)
 
 
 def decompose(c: CoverModel) -> DecompositionReport:
@@ -284,7 +278,6 @@ def decompose(c: CoverModel) -> DecompositionReport:
     """
     g_total = total_genus(c)
     branch = _sorted_branch(c)
-    one = mpc(1)
     factors = []
     genus_sum = 0
     for functional in range(1, 1 << c.rank):
@@ -292,7 +285,7 @@ def decompose(c: CoverModel) -> DecompositionReport:
         genus = len(roots) // 2 - 1
         if genus < 1:
             continue
-        factors.append((functional, FactorCurve(leading=one, roots=roots, genus=genus)))
+        factors.append((functional, FactorCurve(roots=roots, genus=genus)))
         genus_sum += genus
     return DecompositionReport(
         total_genus=g_total,
@@ -304,9 +297,9 @@ def decompose(c: CoverModel) -> DecompositionReport:
 
 @dataclass
 class KaniRosenDiagnostics:
-    """Per-condition outcome of the decomposition criterion."""
+    """Per-condition outcome of the decomposition criterion (the pairwise
+    commuting condition holds in every abelian deck group, so it has no field)."""
 
-    commuting_ok: bool
     join_failures: list = field(default_factory=list)  # ((i, j), genus) with genus > 0
     genus_sum: int = 0
     total_genus: int = 0
@@ -321,7 +314,7 @@ class KaniRosenDiagnostics:
 
     @property
     def ok(self) -> bool:
-        return self.commuting_ok and self.joins_ok and self.sum_ok
+        return self.joins_ok and self.sum_ok
 
     def __bool__(self) -> bool:
         return self.ok
@@ -336,7 +329,7 @@ def kani_rosen_criterion(c: CoverModel, subgroups) -> KaniRosenDiagnostics:
     the total genus.  Failures are reported, not raised.
     """
     bases = [_normalize_subgroup(c, s) for s in subgroups]
-    diag = KaniRosenDiagnostics(commuting_ok=True, total_genus=total_genus(c))
+    diag = KaniRosenDiagnostics(total_genus=total_genus(c))
     for i in range(len(bases)):
         for j in range(i + 1, len(bases)):
             join = _echelon([*bases[i].values(), *bases[j].values()])

@@ -7,11 +7,15 @@ orbit of the six-element group generated by t -> 1/t and t -> 1 - t.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 from mpmath import mpc
 
-from .numerics import (
+# cross_ratio_lambda is re-exported: it is the Legendre parameter t of four
+# branch points normalized to (inf, 0, 1, t), which the constructions'
+# oracles compare via same_curve.
+from .numerics import (  # noqa: F401
     DomainError,
     MobiusMap,
     NotInvolution,
@@ -76,13 +80,18 @@ def same_curve(l1, l2) -> bool:
     return any(close(l2, v) for v in s3_orbit(l1))
 
 
-def lambda_of_quartic(p1, p2, p3, p4) -> mpc:
-    """Normalize four distinct branch points to (inf, 0, 1, t) and return t.
-
-    The result depends on the ordering; callers compare via same_curve so
-    the ambiguity is absorbed by the parameter orbit.
-    """
-    return cross_ratio_lambda(p1, p2, p3, p4)
+def random_admissible(rng: random.Random, count: int) -> list[mpc]:
+    """Draw parameters with parts in [-3, 3], at least 0.1 away from 0, 1
+    and each other (seeded cross-checks and test sweeps)."""
+    values: list[mpc] = []
+    while len(values) < count:
+        z = mpc(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        if abs(z) < 0.1 or abs(z - 1) < 0.1:
+            continue
+        if any(abs(z - v) < 0.1 for v in values):
+            continue
+        values.append(z)
+    return values
 
 
 @dataclass

@@ -50,11 +50,11 @@ def precision() -> int:
 
 
 def set_epsilon(eps) -> None:
-    """Set the global comparison tolerance (> 0)."""
+    """Set the global comparison tolerance (positive and finite)."""
     global _epsilon
     value = mpf(eps)
-    if not value > 0:
-        raise ValueError("epsilon must be positive, got %r" % eps)
+    if not (value > 0 and isfinite(value)):
+        raise ValueError("epsilon must be positive and finite, got %r" % eps)
     _epsilon = value
 
 
@@ -98,9 +98,6 @@ class _Infinity:
 
 
 INFINITY = _Infinity()
-
-# A sphere point is either INFINITY or a finite mpc value.
-SpherePoint = object
 
 
 def is_infinity(p) -> bool:
@@ -339,9 +336,6 @@ class MobiusMap:
             return INFINITY
         return (self.a * z + self.b) / den
 
-    def __call__(self, p):
-        return self.apply(p)
-
     def inverse(self) -> "MobiusMap":
         return MobiusMap(self.d, -self.b, -self.c, self.a)
 
@@ -363,15 +357,6 @@ class MobiusMap:
             and abs(m2.c) <= _epsilon * scale
             and abs(m2.a - m2.d) <= _epsilon * scale
         )
-
-
-def identity_map() -> MobiusMap:
-    return MobiusMap(1, 0, 0, 1)
-
-
-def mobius_apply(m: MobiusMap, p):
-    """Projective action of a Mobius map on a sphere point."""
-    return m.apply(p)
 
 
 def _require_distinct(points) -> None:

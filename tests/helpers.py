@@ -4,18 +4,7 @@ import random
 
 from mpmath import mpc
 
-
-def random_admissible(rng: random.Random, count: int, spread=3.0, gap=0.1):
-    """Draw complex parameters away from 0 and 1 and from each other."""
-    values = []
-    while len(values) < count:
-        z = mpc(rng.uniform(-spread, spread), rng.uniform(-spread, spread))
-        if abs(z) < gap or abs(z - 1) < gap:
-            continue
-        if any(abs(z - v) < gap for v in values):
-            continue
-        values.append(z)
-    return values
+from jacdecomp.legendre import random_admissible  # noqa: F401  (shared by the suites)
 
 
 def random_mobius(rng: random.Random):

@@ -32,8 +32,8 @@ from jacdecomp.cover import (
     reducible_genus_sum_identity,
     total_genus,
 )
-from jacdecomp.legendre import lambda_of_quartic, same_curve
-from jacdecomp.numerics import INFINITY, close, is_infinity
+from jacdecomp.legendre import same_curve
+from jacdecomp.numerics import INFINITY, close, cross_ratio_lambda, is_infinity
 
 from helpers import random_admissible
 
@@ -212,6 +212,6 @@ def test_criterion_10_bound_values_and_chain():
             assert close(lam, targets[0])
             for j, (mu1, mu2) in enumerate(params.mu, start=1):
                 assert same_curve(targets[j],
-                                  lambda_of_quartic(INFINITY, 0, mu1, mu2))
+                                  cross_ratio_lambda(INFINITY, 0, mu1, mu2))
                 assert same_curve(targets[s - 2 + j],
-                                  lambda_of_quartic(1, lam, mu1, mu2))
+                                  cross_ratio_lambda(1, lam, mu1, mu2))

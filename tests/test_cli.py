@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from jacdecomp import cli
 
 
@@ -170,6 +172,41 @@ def test_text_output_mentions_genus(capsys):
 def test_reducible_requires_selector(capsys):
     status, out, err = run_cli(capsys, "construct", "reducible")
     assert status == 2
+
+
+def test_reducible_chain_rejects_lambda_and_mu(capsys):
+    for extra in (["--lambda", "2", "--mu", "5,7"], ["--lambda", "2"], ["--mu", "5,7"]):
+        status, out, err = run_cli(capsys, "construct", "reducible", "--chain", "2,3,4",
+                                   *extra, "--format", "json")
+        assert status == 2
+        assert out == ""
+        assert err == "error: --chain cannot be combined with --lambda or --mu\n"
+
+
+def test_verify_identities_below_three_exits_2(capsys):
+    for value in ("2", "0", "-1"):
+        status, out, err = run_cli(capsys, "verify", "identities", "--max", value,
+                                   "--format", "json")
+        assert status == 2
+        assert out == ""
+        assert err == "error: identities are stated for --max >= 3, got %s\n" % value
+
+
+def test_infinite_epsilon_exits_2(capsys):
+    for value in ("inf", "nan"):
+        status, out, err = run_cli(capsys, "construct", "irreducible", "--lambdas", "2,3,4",
+                                   "--epsilon", value, "--format", "json")
+        assert status == 2
+        assert out == ""
+        assert err == "error: epsilon must be positive and finite, got %r\n" % value
+
+
+def test_seed_is_a_crosscheck_option():
+    for argv in (["verify", "bound", "--r", "4"], ["construct", "genus2", "--l1", "2",
+                                                   "--l2", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--seed", "5"])
+        assert exc.value.code == 2
 
 
 def test_precision_env_variable():

@@ -25,8 +25,8 @@ from jacdecomp.constructions import (
     solve_mu_genus3,
 )
 from jacdecomp.cover import component_count, component_genus, decompose, total_genus
-from jacdecomp.legendre import InvalidDomain, lambda_of_quartic, same_curve
-from jacdecomp.numerics import INFINITY, close, is_infinity
+from jacdecomp.legendre import InvalidDomain, same_curve
+from jacdecomp.numerics import INFINITY, close, cross_ratio_lambda, is_infinity
 
 from helpers import random_admissible
 
@@ -266,8 +266,8 @@ def test_solve_mu_genus3_oracles():
     for _ in range(20):
         l1, l2, l3 = random_admissible(rng, 3)
         mu = solve_mu_genus3(l1, l2, l3)
-        assert same_curve(l2, lambda_of_quartic(1, l1, mu, l3 * mu))
-        assert same_curve(l3, lambda_of_quartic(INFINITY, 0, mu, l3 * mu))
+        assert same_curve(l2, cross_ratio_lambda(1, l1, mu, l3 * mu))
+        assert same_curve(l3, cross_ratio_lambda(INFINITY, 0, mu, l3 * mu))
 
 
 def test_solve_mu_genus3_decomposition_orbits():

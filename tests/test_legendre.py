@@ -7,13 +7,12 @@ from jacdecomp.legendre import (
     InvalidDomain,
     branch_set_pairing,
     j_invariant,
-    lambda_of_quartic,
     require_admissible,
     require_admissible_tuple,
     s3_orbit,
     same_curve,
 )
-from jacdecomp.numerics import INFINITY, MobiusMap, NotInvolution, close
+from jacdecomp.numerics import INFINITY, MobiusMap, NotInvolution, close, cross_ratio_lambda
 
 from helpers import random_admissible
 
@@ -125,16 +124,16 @@ def test_same_curve_is_equivalence():
 
 
 def test_lambda_of_quartic_normalized():
-    assert close(lambda_of_quartic(INFINITY, 0, 1, mpc(7, 2)), mpc(7, 2))
+    assert close(cross_ratio_lambda(INFINITY, 0, 1, mpc(7, 2)), mpc(7, 2))
 
 
 def test_lambda_of_quartic_reordering_stays_in_orbit():
     rng = random.Random(25)
     for _ in range(25):
         pts = random_admissible(rng, 4)
-        base = lambda_of_quartic(*pts)
+        base = cross_ratio_lambda(*pts)
         rng.shuffle(pts)
-        assert same_curve(base, lambda_of_quartic(*pts))
+        assert same_curve(base, cross_ratio_lambda(*pts))
 
 
 def test_pairing_reciprocal_set():

@@ -13,9 +13,7 @@ from jacdecomp.numerics import (
     epsilon,
     format_complex,
     format_point,
-    identity_map,
     is_infinity,
-    mobius_apply,
     mobius_to_standard,
     parse_complex,
     parse_point,
@@ -47,8 +45,16 @@ def test_epsilon_must_be_positive():
         set_epsilon(0)
 
 
+def test_epsilon_must_be_finite():
+    before = epsilon()
+    for bad in ("inf", float("inf"), "nan", float("nan")):
+        with pytest.raises(ValueError):
+            set_epsilon(bad)
+    assert epsilon() == before
+
+
 def test_mobius_identity_fixes_points():
-    assert close(mobius_apply(identity_map(), mpc(5)), 5)
+    assert close(MobiusMap(1, 0, 0, 1).apply(mpc(5)), 5)
 
 
 def test_non_finite_values_rejected():
