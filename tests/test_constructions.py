@@ -414,8 +414,57 @@ def test_chain_no_valid_root_when_both_roots_collide():
     l3 = l1 / (w1 * w2)
     total = w1 + w2
     nu = (l3 + l1 - total * l3) / (1 + l1 * l3 - total * l3)
-    with pytest.raises(NoValidRoot):
+    with pytest.raises(NoValidRoot) as info:
         solve_mu_chain([l1, l2, l3, l4, nu])
+    assert str(info.value) == (
+        "pair 2: no root passes the checks: "
+        "p_3 and p_4 coincide within tolerance (6.5894541729001368); "
+        "p_2 and p_4 coincide within tolerance (2.1964847243000456)")
+
+
+def _failing_oracle(monkeypatch, failing_target):
+    """Make the orbit oracle fail exactly for ``failing_target``; return the
+    list of targets it is asked about, in call order."""
+    calls = []
+
+    def fake(target, value):
+        calls.append(target)
+        return not close(target, failing_target)
+    monkeypatch.setattr(cons, "same_curve", fake)
+    return calls
+
+
+@pytest.mark.parametrize("failing, text", [
+    (3, "orbit oracle for second factor failed at mu=%s"),
+    (4, "orbit oracle for third factor failed at mu=%s"),
+])
+def test_solve_mu_genus3_oracle_failure_text(monkeypatch, failing, text):
+    from jacdecomp.numerics import format_point, solve_quadratic
+
+    l1, l2, l3 = mpf(2), mpf(3), mpf(4)
+    roots = solve_quadratic(l2 * l3, -(l1 * l2 + l2 * l3 + l1 * l3 - l1 - l3 + 1),
+                            l1 * l2)
+    calls = _failing_oracle(monkeypatch, failing)
+    with pytest.raises(NoValidRoot) as info:
+        solve_mu_genus3(l1, l2, l3)
+    assert str(info.value) == (
+        "no quadratic root passes the domain and oracle checks: "
+        + "; ".join(text % format_point(mu) for mu in roots))
+    # the oracles run in order and stop at the first failure
+    assert calls == ([3, 3] if failing == 3 else [3, 4, 3, 4])
+
+
+@pytest.mark.parametrize("failing, text", [
+    (4, "ratio oracle failed at pair 2"),
+    (6, "target oracle failed at pair 2"),
+])
+def test_chain_oracle_failure_text(monkeypatch, failing, text):
+    calls = _failing_oracle(monkeypatch, failing)
+    with pytest.raises(NoValidRoot) as info:
+        solve_mu_chain([2, 3, 4, 5, 6])
+    assert str(info.value) == "pair 2: no root passes the checks: %s; %s" % (text, text)
+    # pair 1 passes both oracles; pair 2 stops each root at its first failure
+    assert calls == [3, 5] + ([4, 4] if failing == 4 else [4, 6, 4, 6])
 
 
 def test_chain_even_case_realizes_bound():

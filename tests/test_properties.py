@@ -1,14 +1,16 @@
 """Property tests: decompose against brute force, GF(2) elimination against
-explicit spans, and the sort-and-sweep collision search against the full
-pairwise scan."""
+explicit spans, the sort-and-sweep collision search against the full
+pairwise scan, and orbit tagging against the first-candidate scan."""
 
 import random
 from itertools import combinations
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mpc, mpf
 
+from jacdecomp import cli
+from jacdecomp.constructions import factor_lambda_invariant
 from jacdecomp.cover import (
     _echelon,
     decompose,
@@ -19,8 +21,10 @@ from jacdecomp.cover import (
     quotient_genus,
     total_genus,
 )
+from jacdecomp.legendre import random_admissible, same_curve
 from jacdecomp.numerics import (
     INFINITY,
+    DomainError,
     epsilon,
     first_collision,
     point_sort_key,
@@ -104,3 +108,45 @@ def near_duplicate_points(draw):
 @given(near_duplicate_points())
 def test_first_collision_matches_full_scan(points):
     assert first_collision(points) == _scan(points)
+
+
+def _reference_tags(report, candidates):
+    """For each factor: the first candidate describing the same curve as a
+    genus-1 factor, else its invariant; None for other genera."""
+    tags = []
+    for _, curve in report.factors:
+        if curve.genus != 1:
+            tags.append(None)
+            continue
+        invariant = factor_lambda_invariant(curve)
+        tags.append(next((c for c in candidates if same_curve(c, invariant)), invariant))
+    return tags
+
+
+@st.composite
+def tagging_builds(draw):
+    """`decompose` arguments for a random irreducible or solver-chain build."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):
+        selector, count = "--lambdas", draw(st.integers(3, 6))
+        construction = "irreducible"
+    else:
+        selector, count = "--chain", draw(st.integers(3, 7))
+        construction = "reducible"
+    text = ",".join(cli.fmt(v) for v in random_admissible(rng, count))
+    return ["decompose", construction, "%s=%s" % (selector, text)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(tagging_builds())
+def test_orbit_tags_match_first_candidate_scan(argv):
+    args = cli.make_parser().parse_args(argv)
+    try:
+        built = cli.build_from_args(args)
+    except DomainError:
+        assume(False)
+    report = decompose(built["model"])
+    want = [None if tag is None else cli.fmt(tag)
+            for tag in _reference_tags(report, built["candidates"])]
+    payload, _ = cli.cmd_decompose(args)
+    assert [f["orbit_of"] for f in payload["factors"]] == want
