@@ -38,12 +38,16 @@ def render_factor_curve(curve: cover.FactorCurve, var: str = "x") -> str:
     return "y^2 = " + " * ".join(terms)
 
 
+def equation_name(alpha) -> str:
+    """The variable name w_<alpha> of the equation with exponent pattern alpha."""
+    return "w_" + "".join(str(b) for b in alpha)
+
+
 def render_curve_equation(eq: cons.CurveEquation) -> str:
-    name = "w_" + "".join(str(b) for b in eq.alpha)
     terms = [fmt(eq.constant)]
     for root, exponent in eq.factors:
         terms.append("(z - %s)^%d" % (fmt(root), exponent))
-    return "%s^2 = %s" % (name, " * ".join(terms))
+    return "%s^2 = %s" % (equation_name(eq.alpha), " * ".join(terms))
 
 
 def branch_table(model: cover.CoverModel) -> list[dict]:
@@ -58,7 +62,7 @@ def branch_table(model: cover.CoverModel) -> list[dict]:
 
 
 def _parse_values(text: str) -> list:
-    return [parse_point(tok) for tok in text.split(",") if tok.strip()]
+    return [parse_point(tok) for tok in text.split(",")]
 
 
 def _pairs(mu) -> list:
@@ -194,23 +198,14 @@ def cmd_decompose(args) -> tuple[dict, int]:
     built = build_from_args(args)
     model = built["model"]
     report = cover.decompose(model)
-    factors = []
-    for functional, curve in report.factors:
-        entry = {
-            "functional": functional_bits(functional, model.rank),
-            "genus": curve.genus,
-            "equation": render_factor_curve(curve),
-            "deleted_infinity": curve.deleted_infinity,
-            "orbit_of": None,
-        }
-        if curve.genus == 1:
-            invariant = cons.factor_lambda_invariant(curve)
-            entry["orbit_of"] = fmt(invariant)
-            for candidate in built["candidates"]:
-                if legendre.same_curve(candidate, invariant):
-                    entry["orbit_of"] = fmt(candidate)
-                    break
-        factors.append(entry)
+    tags = cons.tag_factors(report, built["candidates"])
+    factors = [{
+        "functional": functional_bits(functional, model.rank),
+        "genus": curve.genus,
+        "equation": render_factor_curve(curve),
+        "deleted_infinity": curve.deleted_infinity,
+        "orbit_of": None if tag is None else fmt(tag),
+    } for (functional, curve), tag in zip(report.factors, tags)]
     payload = {
         "construction": built["construction"],
         "genus": report.total_genus,
@@ -236,7 +231,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         report = cons.check_genus5_family(parse_point(args.l1), parse_point(args.l2))
         checks["pairing"] = {
             "pass": bool(report.pairing),
-            "pairs": [[fmt(a), fmt(b)] for a, b in report.pairing.pairs],
+            "pairs": _pairs(report.pairing.pairs),
         }
         checks["elliptic_count"] = {
             "pass": report.elliptic_count == 5,
@@ -261,7 +256,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         for functional, pairing in sorted(report.pairings.items()):
             checks["pairing_%s" % functional_bits(functional, 4)] = {
                 "pass": bool(pairing),
-                "pairs": [[fmt(a), fmt(b)] for a, b in pairing.pairs],
+                "pairs": _pairs(pairing.pairs),
             }
         checks["elliptic_count"] = {
             "pass": report.elliptic_count == 13,
@@ -306,8 +301,7 @@ def _crosscheck(s: int, seed: int) -> dict:
     equations = cons.derive_equations_reducible(params)
     if reference is not None:
         for comp in cons.compare_with_reference(equations, reference):
-            name = "closed_form_w_" + "".join(str(b) for b in comp.alpha)
-            checks[name] = {
+            checks["closed_form_" + equation_name(comp.alpha)] = {
                 "pass": comp.ok,
                 "constant_error": "%.3g" % comp.constant_error,
                 "max_root_error": "%.3g" % comp.max_root_error,

@@ -16,13 +16,15 @@ from typing import NamedTuple
 
 from mpmath import mpc, mpf, sqrt
 
-from .cover import CoverModel, FactorCurve, decompose
+from .cover import CoverModel, DecompositionReport, FactorCurve, decompose
 from .legendre import (
     InvalidDomain,
     PairingResult,
     branch_set_pairing,
     cross_ratio_lambda,
+    require_admissible,
     require_admissible_tuple,
+    s3_orbit,
     same_curve,
 )
 from .numerics import (
@@ -294,6 +296,27 @@ def form_product_value(params: ReducibleParams, alpha, z) -> mpc:
 # Parameter solvers
 
 
+def _pick_root(quadratic, admissible, oracles, heading: str, **context) -> mpc:
+    """The first root of the quadratic (a, b, c) passing ``admissible`` (raises
+    InvalidDomain) and the (target, four points, message) orbit oracles of
+    ``oracles(root)`` in order.  A root stops at its first failure; only then
+    is that message, a ``str.format`` template over ``mu`` and ``context``,
+    formatted."""
+    failures = []
+    for root in solve_quadratic(*quadratic):
+        try:
+            admissible(root)
+        except InvalidDomain as exc:
+            failures.append(str(exc))
+            continue
+        failed = next((message for target, points, message in oracles(root)
+                       if not same_curve(target, cross_ratio_lambda(*points))), None)
+        if failed is None:
+            return root
+        failures.append(failed.format(mu=format_point(root), **context))
+    raise NoValidRoot(heading.format(**context) + "; ".join(failures))
+
+
 def solve_mu_genus3(l1, l2, l3) -> mpc:
     """Auxiliary parameter making the s=3 construction split into the three
     prescribed genus-1 factors.
@@ -306,24 +329,14 @@ def solve_mu_genus3(l1, l2, l3) -> mpc:
     a = l2 * l3
     b = -(l1 * l2 + l2 * l3 + l1 * l3 - l1 - l3 + 1)
     c = l1 * l2
-    failures = []
-    for mu in solve_quadratic(a, b, c):
-        try:
-            ReducibleParams(l1, ((mu, l3 * mu),))
-        except InvalidDomain as exc:
-            failures.append(str(exc))
-            continue
-        if not same_curve(l2, cross_ratio_lambda(1, l1, mu, l3 * mu)):
-            failures.append("orbit oracle for second factor failed at mu=%s"
-                            % format_point(mu))
-            continue
-        if not same_curve(l3, cross_ratio_lambda(INFINITY, 0, mu, l3 * mu)):
-            failures.append("orbit oracle for third factor failed at mu=%s"
-                            % format_point(mu))
-            continue
-        return mu
-    raise NoValidRoot("no quadratic root passes the domain and oracle checks: %s"
-                      % "; ".join(failures))
+    return _pick_root(
+        (a, b, c),
+        lambda mu: ReducibleParams(l1, ((mu, l3 * mu),)),
+        lambda mu: [
+            (l2, (1, l1, mu, l3 * mu), "orbit oracle for second factor failed at mu={mu}"),
+            (l3, (INFINITY, 0, mu, l3 * mu), "orbit oracle for third factor failed at mu={mu}"),
+        ],
+        "no quadratic root passes the domain and oracle checks: ")
 
 
 def genus9_parameters(lam, mu) -> ReducibleParams:
@@ -384,26 +397,15 @@ def solve_mu_chain(lambdas) -> ReducibleParams:
         a = ratio * (1 - target)
         b = target - ratio - lam + lam * ratio * target
         c = lam * (1 - target)
-        failures = []
-        chosen = None
-        for mu1 in solve_quadratic(a, b, c):
-            mu2 = ratio * mu1
-            try:
-                require_admissible_tuple(accumulated + [mu1, mu2], name="p")
-            except InvalidDomain as exc:
-                failures.append(str(exc))
-                continue
-            if not same_curve(ratio, cross_ratio_lambda(INFINITY, 0, mu1, mu2)):
-                failures.append("ratio oracle failed at pair %d" % j)
-                continue
-            if not same_curve(target, cross_ratio_lambda(1, lam, mu1, mu2)):
-                failures.append("target oracle failed at pair %d" % j)
-                continue
-            chosen = (mu1, mu2)
-            break
-        if chosen is None:
-            raise NoValidRoot("pair %d: no root passes the checks: %s"
-                              % (j, "; ".join(failures)))
+        mu1 = _pick_root(
+            (a, b, c),
+            lambda mu: require_admissible_tuple(accumulated + [mu, ratio * mu], name="p"),
+            lambda mu: [
+                (ratio, (INFINITY, 0, mu, ratio * mu), "ratio oracle failed at pair {pair}"),
+                (target, (1, lam, mu, ratio * mu), "target oracle failed at pair {pair}"),
+            ],
+            "pair {pair}: no root passes the checks: ", pair=j)
+        chosen = (mu1, ratio * mu1)
         accumulated.extend(chosen)
         pairs.append(chosen)
     return ReducibleParams(lam, tuple(pairs))
@@ -446,6 +448,19 @@ def build_irreducible(lambdas) -> CoverModel:
     return CoverModel(r, branch)
 
 
+def _split_family(values, involutions: dict) -> tuple:
+    """Factor genera, pairings of the genus-2 factors listed in
+    ``involutions`` (functional -> MobiusMap) and the elliptic count (1 per
+    genus-1 factor, 2 per paired genus-2 factor) of an irreducible product."""
+    report = decompose(build_irreducible(values))
+    genera = tuple(curve.genus for _, curve in report.factors)
+    curves = dict(report.factors)
+    pairings = {functional: branch_set_pairing(m, curves[functional].roots)
+                for functional, m in sorted(involutions.items())}
+    count = genera.count(1) + 2 * sum(1 for p in pairings.values() if p)
+    return genera, pairings, count
+
+
 @dataclass
 class Genus5Report:
     """Outcome of the genus-5 completely-split family check."""
@@ -467,16 +482,10 @@ def check_genus5_family(l1, l2) -> Genus5Report:
     l1, l2 = require_admissible_tuple([l1, l2])
     l3 = l1 / l2
     values = require_admissible_tuple([l1, l2, l3])
-    model = build_irreducible(values)
-    report = decompose(model)
-    genera = tuple(curve.genus for _, curve in report.factors)
-    genus2 = [curve for _, curve in report.factors if curve.genus == 2]
-    if len(genus2) != 1:
-        raise InvalidDomain("expected exactly one genus-2 factor, got %d" % len(genus2))
-    pairing = branch_set_pairing(MobiusMap(0, l1, 1, 0), genus2[0].roots)
-    count = sum(1 for g in genera if g == 1) + (2 if pairing else 0)
+    # the one genus-2 factor of a rank-3 irreducible model is functional 111
+    genera, pairings, count = _split_family(values, {0b111: MobiusMap(0, l1, 1, 0)})
     return Genus5Report(lambdas=(l1, l2, l3), factor_genera=genera,
-                        pairing=pairing, elliptic_count=count)
+                        pairing=pairings[0b111], elliptic_count=count)
 
 
 @dataclass
@@ -503,8 +512,6 @@ def check_genus13_family(l1, l2) -> Genus13Report:
     quotients.
     """
     l1, l2 = require_admissible_tuple([l1, l2])
-    if close(l2, l1):
-        raise InvalidDomain("the two parameters must differ")
     l3 = l1 / l2
     l4 = l1 * (l2 - 1) / (l2 - l1)
     values = require_admissible_tuple([l1, l2, l3, l4])
@@ -513,27 +520,15 @@ def check_genus13_family(l1, l2) -> Genus13Report:
         raise ConstraintViolated(
             "constraint residual %s exceeds tolerance" % format_point(residual),
             residual)
-    model = build_irreducible(values)
-    report = decompose(model)
-    genera = tuple(curve.genus for _, curve in report.factors)
-    curves = {functional: curve for functional, curve in report.factors}
-    maps = {
+    genera, pairings, count = _split_family(values, {
         0b0111: MobiusMap(0, l1, 1, 0),
         0b1011: MobiusMap(l1, -l1, 1, -l1),
         0b1101: MobiusMap(1, -l1, 1, -1),
         0b1110: MobiusMap(l2, -l2 * l3, 1, -l2),
-    }
-    pairings = {}
-    split = 0
-    for functional, mob in sorted(maps.items()):
-        pairing = branch_set_pairing(mob, curves[functional].roots)
-        pairings[functional] = pairing
-        if pairing:
-            split += 2
-    elliptic = sum(1 for g in genera if g == 1) + split
+    })
     return Genus13Report(lambdas=tuple(values), residual=residual,
                          factor_genera=genera, pairings=pairings,
-                         elliptic_count=elliptic)
+                         elliptic_count=count)
 
 
 def factor_lambda_invariant(curve: FactorCurve) -> mpc:
@@ -542,6 +537,19 @@ def factor_lambda_invariant(curve: FactorCurve) -> mpc:
         raise ValueError("lambda invariant requires a genus-1 factor")
     p1, p2, p3, p4 = curve.roots
     return cross_ratio_lambda(p1, p2, p3, p4)
+
+
+def tag_factors(report: DecompositionReport, candidates) -> list:
+    """Per factor: for genus 1 the first candidate, in input order, whose
+    S3 orbit (computed once per candidate) holds the factor's invariant,
+    else the invariant; None for any other genus."""
+    orbits = [(candidate, s3_orbit(candidate)) for candidate in candidates]
+
+    def tag(curve):
+        invariant = require_admissible(factor_lambda_invariant(curve))
+        return next((candidate for candidate, orbit in orbits
+                     if any(close(invariant, v) for v in orbit)), invariant)
+    return [tag(curve) if curve.genus == 1 else None for _, curve in report.factors]
 
 
 # ---------------------------------------------------------------------------

@@ -54,16 +54,13 @@ def require_admissible_tuple(values, name: str = "lambda") -> list[mpc]:
 
 
 def s3_orbit(value) -> list[mpc]:
-    """Closure of a parameter under t -> 1/t and t -> 1 - t (2, 3 or 6 values)."""
-    lam = require_admissible(value)
-    orbit = [lam]
-    queue = [lam]
-    while queue:
-        t = queue.pop()
-        for image in (1 / t, 1 - t):
-            if not any(close(image, v) for v in orbit):
-                orbit.append(image)
-                queue.append(image)
+    """The distinct images of t under the group generated by t -> 1/t and
+    t -> 1 - t, in closed form (2, 3 or 6 values)."""
+    t = require_admissible(value)
+    orbit: list[mpc] = []
+    for image in (t, 1 / t, 1 - t, 1 / (1 - t), t / (t - 1), (t - 1) / t):
+        if not any(close(image, v) for v in orbit):
+            orbit.append(image)
     return orbit
 
 

@@ -183,6 +183,19 @@ def test_reducible_chain_rejects_lambda_and_mu(capsys):
         assert err == "error: --chain cannot be combined with --lambda or --mu\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["decompose", "irreducible", "--lambdas", "2,,3,4"],
+    ["decompose", "irreducible", "--lambdas", "2,3,4,"],
+    ["construct", "reducible", "--chain", "2,3,,4"],
+    ["construct", "reducible", "--lambda", "2", "--mu", "5,7,"],
+])
+def test_empty_list_entry_exits_2(capsys, argv):
+    status, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert status == 2
+    assert out == ""
+    assert err == "error: empty complex literal\n"
+
+
 def test_verify_identities_below_three_exits_2(capsys):
     for value in ("2", "0", "-1"):
         status, out, err = run_cli(capsys, "verify", "identities", "--max", value,

@@ -5,11 +5,12 @@ pairwise scan, and orbit tagging against the first-candidate scan."""
 import random
 from itertools import combinations
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mpc, mpf
 
-from jacdecomp import cli
+from jacdecomp import cli, constructions
 from jacdecomp.constructions import factor_lambda_invariant
 from jacdecomp.cover import (
     _echelon,
@@ -21,7 +22,7 @@ from jacdecomp.cover import (
     quotient_genus,
     total_genus,
 )
-from jacdecomp.legendre import random_admissible, same_curve
+from jacdecomp.legendre import random_admissible, s3_orbit, same_curve
 from jacdecomp.numerics import (
     INFINITY,
     DomainError,
@@ -146,7 +147,15 @@ def test_orbit_tags_match_first_candidate_scan(argv):
     except DomainError:
         assume(False)
     report = decompose(built["model"])
-    want = [None if tag is None else cli.fmt(tag)
-            for tag in _reference_tags(report, built["candidates"])]
+    candidates = built["candidates"]
+    want = _reference_tags(report, candidates)
+    orbits = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(constructions, "s3_orbit",
+                      lambda value: orbits.append(value) or s3_orbit(value))
+        tags = constructions.tag_factors(report, candidates)
+    assert len(orbits) == len(candidates)
+    assert tags == want
     payload, _ = cli.cmd_decompose(args)
-    assert [f["orbit_of"] for f in payload["factors"]] == want
+    assert [f["orbit_of"] for f in payload["factors"]] == [
+        None if tag is None else cli.fmt(tag) for tag in want]
