@@ -26,7 +26,14 @@ from jacdecomp.constructions import (
 )
 from jacdecomp.cover import component_count, component_genus, decompose, total_genus
 from jacdecomp.legendre import InvalidDomain, same_curve
-from jacdecomp.numerics import INFINITY, close, cross_ratio_lambda, is_infinity
+from jacdecomp.numerics import (
+    INFINITY,
+    close,
+    cross_ratio_lambda,
+    is_infinity,
+    set_precision,
+    to_complex,
+)
 
 from helpers import random_admissible
 
@@ -156,6 +163,44 @@ def test_equations_match_raw_form_products():
         samples = [mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(20)]
         errors = cons.sampled_identity_errors(params, equations, samples)
         assert max(errors) < 1e-9
+
+
+def _sampled_errors_one_form_product_per_equation(params, equations, samples):
+    # reference loop: the linear forms are rebuilt for every equation and
+    # sample and multiplied in ascending coordinate order
+    errors = []
+    for eq in equations:
+        worst = 0.0
+        for z in samples:
+            expanded = eq.evaluate(z)
+            groups = cons._coordinate_forms(params)
+            point = to_complex(z)
+            raw = mpc(1)
+            for j, bit in enumerate(eq.alpha):
+                if bit:
+                    for const, coeff in groups[j]:
+                        raw *= const + coeff * point
+            worst = max(worst, float(abs(expanded - raw) / (1 + abs(raw))))
+        errors.append(worst)
+    return errors
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("s", [3, 4, 5, 6, 7])
+def test_sampled_identity_errors_are_bit_identical_to_per_equation_products(s, bits):
+    set_precision(bits)
+    rng = random.Random(1000 * s + bits)
+    # dividing by 3 fills the whole mantissa at either precision
+    draw = [v / 3 for v in random_admissible(rng, 2 * s - 3)]
+    params = ReducibleParams(draw[0], tuple(
+        (draw[1 + 2 * k], draw[2 + 2 * k]) for k in range(s - 2)))
+    equations = derive_equations_reducible(params)
+    samples = [mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(18)]
+    samples += [complex(0.25, -1.5), mpc(1, 2) / 7]
+    got = cons.sampled_identity_errors(params, equations, samples)
+    want = _sampled_errors_one_form_product_per_equation(params, equations, samples)
+    assert got == want
+    assert 0 < max(got) < 1e-30
 
 
 def test_equations_match_closed_form_constants():

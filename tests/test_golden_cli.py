@@ -57,6 +57,9 @@ CASES = {
     "verify_crosscheck_s3": ["verify", "crosscheck", "--s", "3", "--seed", "7"],
     "verify_crosscheck_s4": ["verify", "crosscheck", "--s", "4", "--seed", "7"],
     "verify_crosscheck_s5": ["verify", "crosscheck", "--s", "5", "--seed", "7"],
+    "verify_crosscheck_s6": ["verify", "crosscheck", "--s", "6", "--seed", "7"],
+    "verify_crosscheck_s4_p256": ["verify", "crosscheck", "--s", "4", "--seed", "7",
+                                  "--precision", "256"],
     "verify_identities_max6": ["verify", "identities", "--max", "6"],
     "verify_bound_r6": ["verify", "bound", "--r", "6"],
     "verify_bound_r7": ["verify", "bound", "--r", "7"],

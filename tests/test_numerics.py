@@ -63,6 +63,34 @@ def test_non_finite_values_rejected():
     for bad in (float("nan"), float("inf"), complex(1, float("nan"))):
         with pytest.raises(ValueError):
             to_complex(bad)
+    with pytest.raises(ValueError):
+        to_complex(mpc(mpf("inf"), 0))
+
+
+COERCION_INPUTS = [mpc(1, 2) / 3, mpf(1) / 3, 7, -2, complex(0.25, -1.5), 0.75, "0.75"]
+
+
+def test_to_complex_matches_wrapping_every_input():
+    from jacdecomp.numerics import to_complex
+
+    def wrapped(x):
+        return parse_complex(x) if isinstance(x, str) else mpc(x)
+
+    for x in COERCION_INPUTS + ["2+3i", "(4+1.4142135623730951i)/3"]:
+        got = to_complex(x)
+        assert type(got) is mpc
+        assert got._mpc_ == wrapped(x)._mpc_
+
+
+def test_close_matches_wrapping_every_input():
+    eps = epsilon()
+    near = [mpc(1, 2) / 3 + eps * 0.999, mpc(1, 2) / 3 + eps * 1.001,
+            mpf(1) / 3 + mpc(0, eps) * 0.5, mpc(0.75), mpc(0.75) - eps * 2]
+    for a in COERCION_INPUTS + near:
+        for b in COERCION_INPUTS + near:
+            assert close(a, b) == (abs(mpc(a) - mpc(b)) <= eps)
+    assert close(near[0], mpc(1, 2) / 3) and not close(near[1], mpc(1, 2) / 3)
+    assert close(mpc(0.75), "0.75") and not close(near[-1], 0.75)
 
 
 def test_mobius_inversion_sends_infinity_to_zero():
