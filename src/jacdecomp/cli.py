@@ -309,13 +309,13 @@ def _crosscheck(s: int, seed: int) -> dict:
     samples = [mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(20)]
     errors = cons.sampled_identity_errors(params, equations, samples)
     checks["sampled_identity"] = {
-        "pass": max(errors) <= 1e-9,
+        "pass": max(errors) <= cons.CROSSCHECK_TOLERANCE,
         "max_error": "%.3g" % max(errors),
         "equations": len(equations),
     }
     constant_ok = all(
         abs(cons.closed_form_constant(params, eq.alpha) - eq.constant)
-        <= 1e-9 * (1 + abs(eq.constant))
+        <= cons.CROSSCHECK_TOLERANCE * (1 + abs(eq.constant))
         for eq in equations)
     checks["closed_form_constants"] = {"pass": constant_ok}
     return checks

@@ -279,19 +279,6 @@ def derive_equations_reducible(params: ReducibleParams) -> list[CurveEquation]:
     return equations
 
 
-def form_product_value(params: ReducibleParams, alpha, z) -> mpc:
-    """Product of the raw (unexpanded) linear forms selected by alpha at z."""
-    groups = _coordinate_forms(params)
-    z = to_complex(z)
-    value = mpc(1)
-    for j, bit in enumerate(alpha):
-        if not bit:
-            continue
-        for const, coeff in groups[j]:
-            value *= const + coeff * z
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Parameter solvers
 
@@ -555,6 +542,13 @@ def tag_factors(report: DecompositionReport, candidates) -> list:
 # ---------------------------------------------------------------------------
 # Closed-form cross-checks of the derived equation systems
 
+# Fixed relative bounds of the equation cross-checks, independent of
+# ``numerics.epsilon()``: a derived root matches a closed-form root within
+# ROOT_MATCH_TOLERANCE; constants, matched roots and sampled identities must
+# agree within CROSSCHECK_TOLERANCE.
+CROSSCHECK_TOLERANCE = 1e-9
+ROOT_MATCH_TOLERANCE = 1e-6
+
 
 def closed_form_constant(params: ReducibleParams, alpha) -> mpc:
     """The published product formula for an equation constant.
@@ -629,8 +623,8 @@ class EquationComparison(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        return self.roots_matched and self.constant_error <= 1e-9 \
-            and self.max_root_error <= 1e-9
+        return self.roots_matched and self.constant_error <= CROSSCHECK_TOLERANCE \
+            and self.max_root_error <= CROSSCHECK_TOLERANCE
 
 
 def compare_with_reference(equations, reference) -> list[EquationComparison]:
@@ -654,7 +648,7 @@ def compare_with_reference(equations, reference) -> list[EquationComparison]:
                 err = float(abs(have - want) / (1 + abs(want)))
                 if best is None or err < best:
                     best_idx, best = idx, err
-            if best_idx is None or best > 1e-6:
+            if best_idx is None or best > ROOT_MATCH_TOLERANCE:
                 matched = False
                 max_err = float("inf") if best is None else max(max_err, best)
                 continue
@@ -668,14 +662,30 @@ def compare_with_reference(equations, reference) -> list[EquationComparison]:
 
 
 def sampled_identity_errors(params: ReducibleParams, equations, samples) -> list[float]:
-    """Relative error between each expanded equation and the raw form
-    product at the given sample points."""
-    errors = []
-    for eq in equations:
-        worst = 0.0
-        for z in samples:
-            expanded = eq.evaluate(z)
-            raw = form_product_value(params, eq.alpha, z)
-            worst = max(worst, float(abs(expanded - raw) / (1 + abs(raw))))
-        errors.append(worst)
+    """Relative error between each expanded equation and the raw
+    (unexpanded) product of the linear forms it selects, worst over the
+    given sample points.
+
+    Per sample, each form is evaluated once into a table of the raw
+    products over all 2^s coordinate subsets: the entry for a bitmask is
+    the entry without its highest bit times that coordinate's forms, so
+    the forms are multiplied in ascending coordinate order.
+    """
+    groups = _coordinate_forms(params)
+    masks = [sum(bit << j for j, bit in enumerate(eq.alpha)) for eq in equations]
+    errors = [0.0] * len(equations)
+    for z in samples:
+        z = to_complex(z)
+        table = [mpc(1)]
+        for group in groups:
+            values = [const + coeff * z for const, coeff in group]
+            for lower in range(len(table)):
+                raw = table[lower]
+                for value in values:
+                    raw *= value
+                table.append(raw)
+        for k, eq in enumerate(equations):
+            raw = table[masks[k]]
+            error = float(abs(eq.evaluate(z) - raw) / (1 + abs(raw)))
+            errors[k] = max(errors[k], error)
     return errors

@@ -108,7 +108,10 @@ def to_complex(x) -> mpc:
     """Coerce a finite numeric input (number or literal string) to mpc."""
     if isinstance(x, _Infinity):
         raise ValueError("expected a finite value, got the point at infinity")
-    z = parse_complex(x) if isinstance(x, str) else mpc(x)
+    if type(x) is mpc:
+        z = x
+    else:
+        z = parse_complex(x) if isinstance(x, str) else mpc(x)
     if not isfinite(z):
         raise ValueError("non-finite value %r not admitted" % x)
     return z
@@ -125,7 +128,11 @@ def to_point(x):
 
 def close(a, b) -> bool:
     """Tolerance equality of two finite values."""
-    return abs(mpc(a) - mpc(b)) <= _epsilon
+    if type(a) is not mpc:
+        a = mpc(a)
+    if type(b) is not mpc:
+        b = mpc(b)
+    return abs(a - b) <= _epsilon
 
 
 def points_equal(p, q) -> bool:
