@@ -33,6 +33,9 @@ CASES = {
     # two distinct points whose sort keys tie at double precision
     "decompose_irreducible_key_tie": ["decompose", "irreducible", "--lambdas",
                                       "100000000,100000000.000000005,3"],
+    # 1/2 lies in the orbit of 2: the first candidate, in input order, wins
+    "decompose_irreducible_shared_orbit": ["decompose", "irreducible", "--lambdas",
+                                           "2,0.5,3"],
     "decompose_chain_r5": ["decompose", "reducible", "--chain", "2,3,4,5,6"],
     "decompose_chain_r6": ["decompose", "reducible", "--chain",
                            "2,-1.5,0.3+1.1i,3/4,-2i,5"],
@@ -42,6 +45,9 @@ CASES = {
                            "1.5+1.5i,1.5-1.5i,2.25,0.5i,-2.5-0.4i,3,-0.7+0.2i,2.5+2i"],
     "decompose_chain_r9": ["decompose", "reducible", "--chain",
                            "2,-1.5,0.3+1.1i,3/4,-2i,5,-0.7+0.2i,2.5+2i,-2.75"],
+    "decompose_chain_r11": ["decompose", "reducible", "--chain",
+                            "2,-1.5,0.3+1.1i,3/4,-2i,5,-0.7+0.2i,2.5+2i,-2.75,"
+                            "1.5+1.5i,0.5i"],
     "decompose_genus2": ["decompose", "genus2", "--l1", "2", "--l2", "0.3+1.1i"],
     "decompose_genus9": ["decompose", "genus9", "--lambda", "2", "--mu", "0.3+1.1i"],
     "verify_g5": ["verify", "g5", "--l1", "2", "--l2", "5"],
