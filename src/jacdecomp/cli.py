@@ -31,11 +31,15 @@ def functional_bits(functional: int, rank: int) -> str:
     return "".join("1" if (functional >> j) & 1 else "0" for j in range(rank))
 
 
-def render_factor_curve(curve: cover.FactorCurve, var: str = "x") -> str:
-    terms = ["1"]
-    for root in curve.finite_roots:
-        terms.append("(%s - %s)^1" % (var, fmt(root)))
-    return "y^2 = " + " * ".join(terms)
+def factor_terms(model: cover.CoverModel) -> dict:
+    """The term "(x - p)^1" of each finite branch point p, rendered once and
+    keyed by id(p): the roots of the model's factors are its point objects."""
+    return {id(p): "(x - %s)^1" % fmt(p) for p in model.points
+            if not numerics.is_infinity(p)}
+
+
+def render_factor_curve(curve: cover.FactorCurve, terms: dict) -> str:
+    return " * ".join(["y^2 = 1"] + [terms[id(root)] for root in curve.finite_roots])
 
 
 def equation_name(alpha) -> str:
@@ -78,7 +82,7 @@ def _build_genus2(args) -> dict:
         "candidates": [l1, l2],
         "construction": {"type": "genus2", "l1": fmt(l1), "l2": fmt(l2),
                          "eta1": eta1, "eta2": eta2},
-        "equations": ["y^2 = (x^2 - 1) * (x^2 - %s) * (x^2 - %s)" % (eta1, eta2)],
+        "equations": lambda: ["y^2 = (x^2 - 1) * (x^2 - %s) * (x^2 - %s)" % (eta1, eta2)],
     }
 
 
@@ -89,19 +93,19 @@ def _build_irreducible(args) -> dict:
         "candidates": values,
         "construction": {"type": "irreducible", "r": len(values),
                          "lambdas": [fmt(v) for v in values]},
-        "equations": ["y_%d^2 = (x - 0)^1 * (x - 1)^1 * (x - %s)^1" % (j + 1, fmt(v))
-                      for j, v in enumerate(values)],
+        "equations": lambda: ["y_%d^2 = (x - 0)^1 * (x - 1)^1 * (x - %s)^1" % (j + 1, fmt(v))
+                              for j, v in enumerate(values)],
     }
 
 
 def _two_component(params, candidates, construction: dict) -> dict:
-    """Model and rendered equations of a two-component family instance."""
+    """Model and equations of a two-component family instance."""
     return {
         "model": cons.build_reducible(params),
         "candidates": candidates,
         "construction": construction,
-        "equations": [render_curve_equation(eq)
-                      for eq in cons.derive_equations_reducible(params)],
+        "equations": lambda: [render_curve_equation(eq)
+                              for eq in cons.derive_equations_reducible(params)],
     }
 
 
@@ -144,7 +148,8 @@ BUILDERS = {
 
 def build_from_args(args) -> dict:
     """Resolve a construction subcommand into its model, the parameters that
-    tag genus-1 factors, the construction record and the equations."""
+    tag genus-1 factors, the construction record and a function that
+    derives and renders the equations (only `construct` calls it)."""
     return BUILDERS[args.construction](args)
 
 
@@ -187,7 +192,7 @@ def cmd_construct(args) -> tuple[dict, int]:
     payload = {
         "construction": built["construction"],
         "genus": cover.total_genus(model),
-        "equations": built["equations"],
+        "equations": built["equations"](),
         "branch": branch_table(model),
         "checks": {},
     }
@@ -199,10 +204,11 @@ def cmd_decompose(args) -> tuple[dict, int]:
     model = built["model"]
     report = cover.decompose(model)
     tags = cons.tag_factors(report, built["candidates"])
+    terms = factor_terms(model)
     factors = [{
         "functional": functional_bits(functional, model.rank),
         "genus": curve.genus,
-        "equation": render_factor_curve(curve),
+        "equation": render_factor_curve(curve, terms),
         "deleted_infinity": curve.deleted_infinity,
         "orbit_of": None if tag is None else fmt(tag),
     } for (functional, curve), tag in zip(report.factors, tags)]

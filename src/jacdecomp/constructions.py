@@ -33,8 +33,10 @@ from .numerics import (
     MobiusMap,
     close,
     epsilon,
+    first_close,
     first_collision,
     format_point,
+    near_table,
     solve_quadratic,
     to_complex,
 )
@@ -529,13 +531,21 @@ def factor_lambda_invariant(curve: FactorCurve) -> mpc:
 def tag_factors(report: DecompositionReport, candidates) -> list:
     """Per factor: for genus 1 the first candidate, in input order, whose
     S3 orbit (computed once per candidate) holds the factor's invariant,
-    else the invariant; None for any other genus."""
-    orbits = [(candidate, s3_orbit(candidate)) for candidate in candidates]
+    else the invariant; None for any other genus.
+
+    The orbits form one near_table in candidate order, so the first entry
+    close to the invariant belongs to the first matching candidate."""
+    owners, images = [], []
+    for candidate in candidates:
+        orbit = s3_orbit(candidate)
+        owners.extend([candidate] * len(orbit))
+        images.extend(orbit)
+    table = near_table(images)
 
     def tag(curve):
         invariant = require_admissible(factor_lambda_invariant(curve))
-        return next((candidate for candidate, orbit in orbits
-                     if any(close(invariant, v) for v in orbit)), invariant)
+        k = first_close(invariant, table)
+        return invariant if k is None else owners[k]
     return [tag(curve) if curve.genus == 1 else None for _, curve in report.factors]
 
 

@@ -108,6 +108,8 @@ class CoverModel:
         data = tuple(BranchDatum(to_point(p), int(v)) for p, v in branch)
         object.__setattr__(self, "branch", data)
         self._validate()
+        # read by component_count: one elimination serves every query
+        object.__setattr__(self, "_components", 1 << (self.rank - gf2_rank(self.vectors)))
 
     def _validate(self):
         if self.rank < 1:
@@ -184,7 +186,7 @@ class DecompositionReport:
 
 def component_count(c: CoverModel) -> int:
     """Number of connected components: 2^(rank - rank of the monodromy span)."""
-    return 1 << (c.rank - gf2_rank(c.vectors))
+    return c._components
 
 
 def _riemann_hurwitz(m: int, b: int) -> int:

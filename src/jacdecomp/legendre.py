@@ -21,8 +21,10 @@ from .numerics import (  # noqa: F401
     NotInvolution,
     close,
     cross_ratio_lambda,
+    first_close,
     first_collision,
     format_point,
+    near_table,
     points_equal,
     to_complex,
     to_point,
@@ -33,10 +35,13 @@ class InvalidDomain(DomainError):
     """A parameter tuple violates its admissibility domain."""
 
 
+_ZERO_ONE = near_table([0, 1])
+
+
 def require_admissible(value, name: str = "lambda") -> mpc:
     """Check membership in the base domain (finite, away from 0 and 1)."""
     lam = to_complex(value)
-    if close(lam, 0) or close(lam, 1):
+    if first_close(lam, _ZERO_ONE) is not None:
         raise InvalidDomain("%s = %s is not admissible (too close to 0 or 1)"
                             % (name, format_point(lam)))
     return lam
@@ -57,11 +62,12 @@ def s3_orbit(value) -> list[mpc]:
     """The distinct images of t under the group generated by t -> 1/t and
     t -> 1 - t, in closed form (2, 3 or 6 values)."""
     t = require_admissible(value)
-    orbit: list[mpc] = []
-    for image in (t, 1 / t, 1 - t, 1 / (1 - t), t / (t - 1), (t - 1) / t):
-        if not any(close(image, v) for v in orbit):
-            orbit.append(image)
-    return orbit
+    images = (t, 1 / t, 1 - t, 1 / (1 - t), t / (t - 1), (t - 1) / t)
+    kept: list = []
+    for image, entry in zip(images, near_table(images)):
+        if first_close(image, kept) is None:
+            kept.append(entry)
+    return [image for _, _, image in kept]
 
 
 def j_invariant(value) -> mpc:

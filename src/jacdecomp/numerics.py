@@ -135,6 +135,56 @@ def close(a, b) -> bool:
     return abs(a - b) <= _epsilon
 
 
+# Slack of the double prefilter in first_close (see its docstring).
+_NEAR_REL = 2.0 ** -40
+_NEAR_ABS = 2.0 ** -1000
+_NEAR_LIMIT = 2.0 ** 1000
+
+
+def _near_entry(z: mpc) -> tuple:
+    """(double copy, 2^-40 times its modulus, z); a copy with a part not
+    below 2^1000 in size, inf or nan included, gets the reach inf."""
+    d = complex(z)
+    if abs(d.real) < _NEAR_LIMIT and abs(d.imag) < _NEAR_LIMIT:
+        return d, _NEAR_REL * abs(d), z
+    return 0j, math.inf, z
+
+
+def near_table(values) -> list:
+    """The values, in order, as a table for first_close; each value is
+    coerced as close coerces it and converted to a double once."""
+    return [_near_entry(v if type(v) is mpc else mpc(v)) for v in values]
+
+
+def first_close(x, table):
+    """Index of the first value in a near_table that close accepts with x,
+    or None: the answer of a linear close scan.
+
+    With x~, v~ the double copies and eps~ the tolerance as a double, an
+    entry is skipped without calling close only when, in double arithmetic,
+
+        |x~ - v~| > eps~ + 2^-40 (eps~ + |x~| + |v~|) + 2^-1000.
+
+    A conversion moves each part by at most one unit in the last place
+    (2^-52 of its size, or 2^-1074 below the normal range), and the few
+    double operations add a few more units; the 2^-40 and 2^-1000 terms
+    exceed that sum, so a skipped value lies farther than the tolerance
+    from x.  Parts below 2^1000 keep every double finite.  Every entry not
+    skipped is decided by close; so is every entry when a copy has a part
+    not below 2^1000 or the tolerance does not fit a double (its reach is
+    then inf).
+    """
+    if type(x) is not mpc:
+        x = mpc(x)
+    xd, reach, _ = _near_entry(x)
+    eps = float(_epsilon)
+    base = eps + _NEAR_REL * eps + reach + _NEAR_ABS
+    for k, (vd, v_reach, v) in enumerate(table):
+        if abs(xd - vd) <= base + v_reach and close(x, v):
+            return k
+    return None
+
+
 def points_equal(p, q) -> bool:
     """Tolerance equality on the sphere."""
     if is_infinity(p) or is_infinity(q):

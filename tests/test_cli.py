@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from jacdecomp import cli
+from jacdecomp import cli, constructions
 
 
 def run_cli(capsys, *argv):
@@ -50,6 +50,23 @@ def test_construct_reducible_explicit_mu(capsys):
     assert payload["construction"]["s"] == 3
     assert len(payload["equations"]) == 3
     assert all(eq.startswith("w_") and "^2 = " in eq for eq in payload["equations"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["reducible", "--chain", "2,3,4,5,6"],
+    ["reducible", "--lambda", "2", "--mu", "5,7,0.3+1.1i,-2i"],
+    ["genus9", "--lambda", "2", "--mu", "0.3+1.1i"],
+])
+def test_decompose_derives_no_equations(argv, capsys, monkeypatch):
+    def refuse(params):
+        raise AssertionError("equations derived")
+    monkeypatch.setattr(constructions, "derive_equations_reducible", refuse)
+    status, payload, _ = run_json(capsys, "decompose", *argv)
+    assert status == 0
+    assert payload["factors"]
+    # construct goes through the patched function, so the patch is live
+    with pytest.raises(AssertionError, match="equations derived"):
+        cli.main(["construct", *argv])
 
 
 def test_construct_genus9(capsys):

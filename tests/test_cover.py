@@ -3,6 +3,7 @@ import random
 import pytest
 from mpmath import mpc
 
+from jacdecomp import cover
 from jacdecomp.constructions import (
     ReducibleParams,
     build_irreducible,
@@ -101,6 +102,29 @@ def test_component_count_split_rank_one():
     assert component_count(model) == 2
     with pytest.raises(Disconnected):
         total_genus(model)
+
+
+def test_connectivity_is_eliminated_once_per_model(monkeypatch):
+    split = CoverModel(2, [(0, 0b01), (INFINITY, 0b01)])
+    connected = CoverModel(1, [(INFINITY, 1), (0, 1), (1, 1), (2, 1)])
+
+    def refuse(vectors):
+        raise AssertionError("eliminated again")
+    monkeypatch.setattr(cover, "gf2_rank", refuse)
+    for call, message in [
+        (lambda: total_genus(split), "cover has 2 components"),
+        (lambda: fixed_point_count(split, 1), "fixed-point counting requires a connected cover"),
+        (lambda: quotient_genus(split, 1), "quotient genus requires a connected cover"),
+        (lambda: quotient_equation(split, 1), "quotient equation requires a connected cover"),
+    ]:
+        with pytest.raises(Disconnected) as info:
+            call()
+        assert str(info.value) == message
+    assert component_count(split) == 2 and component_count(connected) == 1
+    assert total_genus(connected) == 1
+    assert fixed_point_count(connected, 1) == 4
+    assert quotient_genus(connected, 1) == 1
+    assert quotient_equation(connected, 1).genus == 1
 
 
 def test_component_counts_for_families():

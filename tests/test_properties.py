@@ -1,6 +1,7 @@
 """Property tests: decompose against brute force, GF(2) elimination against
 explicit spans, the sort-and-sweep collision search against the full
-pairwise scan, and orbit tagging against the first-candidate scan."""
+pairwise scan, the prefiltered first_close against a linear close scan, and
+orbit tagging against the first-candidate scan."""
 
 import random
 from itertools import combinations
@@ -23,11 +24,15 @@ from jacdecomp.cover import (
     total_genus,
 )
 from jacdecomp.legendre import random_admissible, s3_orbit, same_curve
+from jacdecomp import numerics
 from jacdecomp.numerics import (
     INFINITY,
     DomainError,
+    close,
     epsilon,
+    first_close,
     first_collision,
+    near_table,
     point_sort_key,
     points_equal,
 )
@@ -109,6 +114,48 @@ def near_duplicate_points(draw):
 @given(near_duplicate_points())
 def test_first_collision_matches_full_scan(points):
     assert first_collision(points) == _scan(points)
+
+
+_PARTS = st.one_of(
+    st.builds(lambda m, k: m * 10.0 ** k,
+              st.floats(1, 10).flatmap(lambda m: st.sampled_from([m, -m])),
+              st.integers(-300, 300)),
+    st.sampled_from([0.0, 1.0, -0.5, 5e-324, -2.5e-320, 1e-310]),
+    st.sampled_from([mpf("1e400"), mpf("-3e330"), mpf("1.7e308")]),
+)
+# offsets in units of epsilon, straddling it by 2^-40
+_NEAR_STEPS = st.sampled_from([0, 0.5, 1 - 2 ** -40, 1 + 2 ** -40, 2, 1e6])
+_DIRECTIONS = st.sampled_from([1, -1, 1j, -1j, (1 + 1j) / 2 ** 0.5])
+
+
+@st.composite
+def near_queries(draw):
+    """Values and a query as recipes: (base index, offset in units of
+    epsilon, direction) over drawn bases, resolved at the epsilon in force."""
+    bases = draw(st.lists(st.builds(mpc, _PARTS, _PARTS), min_size=1, max_size=5))
+    offset = st.tuples(st.integers(0, len(bases) - 1), _NEAR_STEPS, _DIRECTIONS)
+    return bases, draw(st.lists(offset, max_size=8)), draw(offset)
+
+
+def _resolve(bases, recipe):
+    index, step, direction = recipe
+    return bases[index] + step * epsilon() * mpc(direction)
+
+
+@pytest.mark.parametrize("eps", ["1e-30", "1e-9", "0.25"])
+@settings(max_examples=200, deadline=None)
+@given(near_queries())
+def test_first_close_matches_linear_close_scan(eps, recipes):
+    bases, offsets, query = recipes
+    saved = epsilon()
+    numerics.set_epsilon(eps)
+    try:
+        values = bases + [_resolve(bases, recipe) for recipe in offsets]
+        x = _resolve(bases, query)
+        want = next((k for k, v in enumerate(values) if close(x, v)), None)
+        assert first_close(x, near_table(values)) == want
+    finally:
+        numerics.set_epsilon(saved)
 
 
 def _reference_tags(report, candidates):
