@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mpc, mpf
 
-from jacdecomp import cli, constructions
+from jacdecomp import cli, constructions, numerics
 from jacdecomp.constructions import factor_lambda_invariant
 from jacdecomp.cover import (
     _echelon,
@@ -24,7 +24,6 @@ from jacdecomp.cover import (
     total_genus,
 )
 from jacdecomp.legendre import random_admissible, s3_orbit, same_curve
-from jacdecomp import numerics
 from jacdecomp.numerics import (
     INFINITY,
     DomainError,
