@@ -164,6 +164,22 @@ def test_cross_ratio_rejects_collisions():
         cross_ratio_lambda(INFINITY, 0, 1, 1 + 1e-12)
 
 
+def test_cross_ratio_singular_standard_map():
+    # p1, p2, p3 are distinct but |ad - bc| = 2e-12 for the map sending them
+    # to (inf, 0, 1)
+    with pytest.raises(ValueError) as info:
+        cross_ratio_lambda(0, 1e-4, 2e-4, 5)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "Mobius map is singular: |ad - bc| <= epsilon"
+
+
+def test_cross_ratio_pole_names_first_point():
+    # the fourth point lands on the pole of the standard map: |c z4 + d| = 6e-10
+    with pytest.raises(CollidingPoints) as info:
+        cross_ratio_lambda(0, 1, 1 + 2e-5, 3e-5)
+    assert str(info.value) == "fourth point collides with the first within tolerance"
+
+
 def test_collision_messages_name_first_pair():
     cases = [
         ((0, 1, 1 + 1e-12, 1), "points 1 and 1.0000000000010001 coincide within tolerance"),

@@ -1,7 +1,8 @@
 """Property tests: decompose against brute force, GF(2) elimination against
 explicit spans, the sort-and-sweep collision search against the full
-pairwise scan, the prefiltered first_close against a linear close scan, and
-orbit tagging against the first-candidate scan."""
+pairwise scan, the prefiltered first_close against a linear close scan,
+orbit tagging against the first-candidate scan, and cross_ratio_lambda
+against the Mobius map it stands for."""
 
 import random
 from itertools import combinations
@@ -9,7 +10,7 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from mpmath import mpc, mpf
+from mpmath import mp, mpc, mpf
 
 from jacdecomp import cli, constructions, numerics
 from jacdecomp.constructions import factor_lambda_invariant
@@ -26,14 +27,19 @@ from jacdecomp.cover import (
 from jacdecomp.legendre import random_admissible, s3_orbit, same_curve
 from jacdecomp.numerics import (
     INFINITY,
+    CollidingPoints,
     DomainError,
+    MobiusMap,
     close,
+    cross_ratio_lambda,
     epsilon,
     first_close,
     first_collision,
+    is_infinity,
     near_table,
     point_sort_key,
     points_equal,
+    to_complex,
 )
 
 from helpers import random_cover_model
@@ -205,3 +211,73 @@ def test_orbit_tags_match_first_candidate_scan(argv):
     payload, _ = cli.cmd_decompose(args)
     assert [f["orbit_of"] for f in payload["factors"]] == [
         None if tag is None else cli.fmt(tag) for tag in want]
+
+
+def _reference_cross_ratio(p1, p2, p3, p4):
+    """cross_ratio_lambda written as the composition it stands for: the
+    four-point and three-point collision checks, mobius_to_standard(p1, p2,
+    p3) built as a MobiusMap, that map applied to p4, then the pole rule."""
+    numerics._require_distinct([p1, p2, p3, p4])
+    numerics._require_distinct([p1, p2, p3])
+    if is_infinity(p1):
+        z2, z3 = to_complex(p2), to_complex(p3)
+        m = MobiusMap(1, -z2, 0, z3 - z2)
+    elif is_infinity(p2):
+        z1, z3 = to_complex(p1), to_complex(p3)
+        m = MobiusMap(0, z3 - z1, 1, -z1)
+    elif is_infinity(p3):
+        z1, z2 = to_complex(p1), to_complex(p2)
+        m = MobiusMap(1, -z2, 1, -z1)
+    else:
+        z1, z2, z3 = to_complex(p1), to_complex(p2), to_complex(p3)
+        m = MobiusMap(z3 - z1, -z2 * (z3 - z1), z3 - z2, -z1 * (z3 - z2))
+    value = m.apply(p4)
+    if is_infinity(value):
+        raise CollidingPoints("fourth point collides with the first within tolerance")
+    return value
+
+
+def _outcome(function, points):
+    """("value", its _mpc_) or ("raise", exception type, message)."""
+    try:
+        value = function(*points)
+    except ValueError as exc:
+        return "raise", type(exc), str(exc)
+    return "value", value._mpc_
+
+
+# a cluster center: mantissas up to 10 in size times 10^k, |k| <= 300, often
+# near 1 so that the singular and pole branches are reached
+_CENTERS = st.tuples(st.floats(-10, 10), st.floats(-10, 10),
+                     st.one_of(st.integers(-3, 1), st.integers(-300, 300)))
+# a point: (center index, offset in units of 1e-5, direction)
+_MEMBERS = st.tuples(st.integers(0, 2), st.sampled_from([0, 1, 2, 3, -1]), _DIRECTIONS)
+
+
+@st.composite
+def cross_ratio_inputs(draw):
+    """Precision, the position of inf (or None) and four point recipes over
+    up to three cluster centers, resolved at that precision."""
+    return (draw(st.sampled_from([53, 128, 256])),
+            draw(st.sampled_from([None, 0, 1, 2, 3])),
+            draw(st.lists(_CENTERS, min_size=3, max_size=3)),
+            draw(st.lists(_MEMBERS, min_size=4, max_size=4)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(cross_ratio_inputs())
+def test_cross_ratio_lambda_is_the_standard_map_applied(inputs):
+    bits, inf_at, centers, members = inputs
+    saved = mp.prec
+    mp.prec = bits
+    try:
+        # divided by 3 so the mantissas are full at the working precision
+        bases = [mpc(re, im) * mpf(10) ** k / 3 for re, im, k in centers]
+        points = [bases[index] + step * mpf("1e-5") * mpc(direction)
+                  for index, step, direction in members]
+        if inf_at is not None:
+            points[inf_at] = INFINITY
+        assert _outcome(cross_ratio_lambda, points) == \
+            _outcome(_reference_cross_ratio, points)
+    finally:
+        mp.prec = saved
