@@ -9,6 +9,7 @@ so parse/re-serialize round-trips are byte identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -49,8 +50,8 @@ def equation_name(alpha) -> str:
 
 def render_curve_equation(eq: cons.CurveEquation) -> str:
     terms = [fmt(eq.constant)]
-    for root, exponent in eq.factors:
-        terms.append("(z - %s)^%d" % (fmt(root), exponent))
+    for root in eq.roots:
+        terms.append("(z - %s)^1" % fmt(root))
     return "%s^2 = %s" % (equation_name(eq.alpha), " * ".join(terms))
 
 
@@ -356,7 +357,10 @@ def _emit_text(payload: dict, indent: str = "") -> None:
             print("%s%s = %s" % (indent, key, value))
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later call in the process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="jacdecomp",
         description="Construct, decompose and verify families of curves "

@@ -200,21 +200,21 @@ def build_raw_fiber_product(params: ReducibleParams) -> CoverModel:
 
 
 class CurveEquation(NamedTuple):
-    """One defining equation w^2 = constant * prod (z - root)^exponent."""
+    """One defining equation w^2 = constant * prod (z - root), each root simple."""
 
     alpha: tuple
     constant: mpc
-    factors: tuple  # of (root, exponent)
+    roots: tuple
 
     @property
     def degree(self) -> int:
-        return sum(e for _, e in self.factors)
+        return len(self.roots)
 
     def evaluate(self, z) -> mpc:
         value = self.constant
         z = to_complex(z)
-        for root, exponent in self.factors:
-            value *= (z - root) ** exponent
+        for root in self.roots:
+            value *= z - root
         return value
 
 
@@ -269,15 +269,15 @@ def derive_equations_reducible(params: ReducibleParams) -> list[CurveEquation]:
     for functional in range(1, 1 << (s - 1)):
         alpha = functional_to_alpha(functional, s)
         constant = mpc(1)
-        factors = []
+        roots = []
         for j, bit in enumerate(alpha):
             if not bit:
                 continue
             for const, coeff in groups[j]:
                 constant *= coeff
-                factors.append((-const / coeff, 1))
+                roots.append(-const / coeff)
         equations.append(CurveEquation(alpha=alpha, constant=constant,
-                                       factors=tuple(factors)))
+                                       roots=tuple(roots)))
     return equations
 
 
@@ -648,10 +648,9 @@ def compare_with_reference(equations, reference) -> list[EquationComparison]:
     for alpha, (constant, roots) in sorted(reference.items()):
         eq = by_alpha[alpha]
         c_err = float(abs(eq.constant - constant) / (1 + abs(constant)))
-        derived = [root for root, exp in eq.factors for _ in range(exp)]
         matched = True
         max_err = 0.0
-        remaining = list(derived)
+        remaining = list(eq.roots)
         for want in roots:
             best_idx, best = None, None
             for idx, have in enumerate(remaining):

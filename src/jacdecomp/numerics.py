@@ -242,7 +242,8 @@ def point_sort_key(p):
 
 def format_complex(z, digits: int = 17) -> str:
     """Render a finite value in the literal grammar at fixed significant digits."""
-    z = mpc(z)
+    if type(z) is not mpc:
+        z = mpc(z)
     re_s = _format_real(z.real, digits)
     im = float(z.imag)
     if im == 0.0:
@@ -424,33 +425,52 @@ def _require_distinct(points) -> None:
                               % (format_point(pts[pair[0]]), format_point(pts[pair[1]])))
 
 
+_ZERO = mpc(0)
+_ONE = mpc(1)
+
+
+def _standard_coefficients(p1, p2, p3) -> tuple:
+    """Coefficients (a, b, c, d) of the Mobius map sending three distinct
+    points (p1, p2, p3) to (inf, 0, 1)."""
+    if is_infinity(p1):
+        z2, z3 = to_complex(p2), to_complex(p3)
+        return _ONE, -z2, _ZERO, z3 - z2
+    if is_infinity(p2):
+        z1, z3 = to_complex(p1), to_complex(p3)
+        return _ZERO, z3 - z1, _ONE, -z1
+    if is_infinity(p3):
+        z1, z2 = to_complex(p1), to_complex(p2)
+        return _ONE, -z2, _ONE, -z1
+    z1, z2, z3 = to_complex(p1), to_complex(p2), to_complex(p3)
+    return z3 - z1, -z2 * (z3 - z1), z3 - z2, -z1 * (z3 - z2)
+
+
 def mobius_to_standard(p1, p2, p3) -> MobiusMap:
     """The unique Mobius map sending (p1, p2, p3) to (inf, 0, 1)."""
     _require_distinct([p1, p2, p3])
-    if is_infinity(p1):
-        z2, z3 = to_complex(p2), to_complex(p3)
-        return MobiusMap(1, -z2, 0, z3 - z2)
-    if is_infinity(p2):
-        z1, z3 = to_complex(p1), to_complex(p3)
-        return MobiusMap(0, z3 - z1, 1, -z1)
-    if is_infinity(p3):
-        z1, z2 = to_complex(p1), to_complex(p2)
-        return MobiusMap(1, -z2, 1, -z1)
-    z1, z2, z3 = to_complex(p1), to_complex(p2), to_complex(p3)
-    return MobiusMap(z3 - z1, -z2 * (z3 - z1), z3 - z2, -z1 * (z3 - z2))
+    return MobiusMap(*_standard_coefficients(p1, p2, p3))
 
 
 def cross_ratio_lambda(p1, p2, p3, p4) -> mpc:
     """The value t with some Mobius map sending (p1, p2, p3, p4) to (inf, 0, 1, t).
 
     The four points must be pairwise distinct, so the result is finite and
-    avoids 0 and 1.
+    avoids 0 and 1.  The value, the singular-map check and the pole rule are
+    those of ``mobius_to_standard(p1, p2, p3).apply(p4)``, computed with the
+    same operations without building the map.
     """
     _require_distinct([p1, p2, p3, p4])
-    value = mobius_to_standard(p1, p2, p3).apply(p4)
-    if is_infinity(value):
+    a, b, c, d = _standard_coefficients(p1, p2, p3)
+    if abs(a * d - b * c) <= _epsilon:
+        raise ValueError("Mobius map is singular: |ad - bc| <= epsilon")
+    if is_infinity(p4):
+        num, den = a, c
+    else:
+        z = to_complex(p4)
+        num, den = a * z + b, c * z + d
+    if abs(den) <= _epsilon:
         raise CollidingPoints("fourth point collides with the first within tolerance")
-    return value
+    return num / den
 
 
 def solve_quadratic(a, b, c) -> tuple[mpc, mpc]:

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -237,6 +239,38 @@ def test_seed_is_a_crosscheck_option():
         with pytest.raises(SystemExit) as exc:
             cli.main(argv + ["--seed", "5"])
         assert exc.value.code == 2
+
+
+def test_parser_is_built_once():
+    assert cli.make_parser() is cli.make_parser()
+
+
+def test_second_call_constructs_no_parser(capsys, monkeypatch):
+    argv = ["verify", "bound", "--r", "4"]
+    assert cli.main(argv) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert cli.main(argv) == 0
+    assert built == []
+    capsys.readouterr()
+
+
+def test_usage_error_leaves_the_parser_intact(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decompose", "irreducible", "--format", "json"])
+    assert exc.value.code == 2
+    assert "--lambdas" in capsys.readouterr().err
+    status, out, _ = run_cli(capsys, "decompose", "reducible", "--chain", "2,3,4,5,6",
+                             "--format", "json")
+    golden = pathlib.Path(__file__).with_name("golden") / "decompose_chain_r5.json"
+    assert status == 0
+    assert out == golden.read_text()
 
 
 def test_precision_env_variable():

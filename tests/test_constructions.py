@@ -236,7 +236,7 @@ def test_equations_agree_with_quotient_branch_sets():
                 infinity_expected = True  # x = pivot maps to z = inf
             else:
                 expected.append(1 / (point - pivot))
-        got = [root for root, e in eq.factors for _ in range(e)]
+        got = list(eq.roots)
         assert (eq.degree % 2 == 1) == infinity_expected
         assert len(got) == len(expected)
         for want in expected:
