@@ -1,9 +1,11 @@
-"""Shared generators for the randomized suites (seeded, deterministic)."""
+"""Shared generators for the randomized suites (seeded, deterministic) and
+the reference loop of the sampled equation identity."""
 
 import random
 
 from mpmath import mpc
 
+from jacdecomp import constructions, numerics
 from jacdecomp.legendre import random_admissible  # noqa: F401  (shared by the suites)
 
 
@@ -35,3 +37,23 @@ def random_cover_model(rng: random.Random, rank=None, connected=True):
             continue
         points = [INFINITY] + random_admissible(rng, count - 1)
         return CoverModel(n, list(zip(points, vectors)))
+
+
+def _sampled_errors_one_form_product_per_equation(params, equations, samples):
+    # reference loop: the linear forms are rebuilt for every equation and
+    # sample and multiplied in ascending coordinate order
+    errors = []
+    for eq in equations:
+        worst = 0.0
+        for z in samples:
+            expanded = eq.evaluate(z)
+            groups = constructions._coordinate_forms(params)
+            point = numerics.to_complex(z)
+            raw = mpc(1)
+            for j, bit in enumerate(eq.alpha):
+                if bit:
+                    for const, coeff in groups[j]:
+                        raw *= const + coeff * point
+            worst = max(worst, float(abs(expanded - raw) / (1 + abs(raw))))
+        errors.append(worst)
+    return errors

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from mpmath import mpc, mpf, sqrt
+from mpmath import mp, mpc, mpf, sqrt
 
 from jacdecomp import constructions as cons
 from jacdecomp.constructions import (
@@ -32,10 +32,9 @@ from jacdecomp.numerics import (
     cross_ratio_lambda,
     is_infinity,
     set_precision,
-    to_complex,
 )
 
-from helpers import random_admissible
+from helpers import _sampled_errors_one_form_product_per_equation, random_admissible
 
 
 def genus_one_invariants(report):
@@ -165,24 +164,42 @@ def test_equations_match_raw_form_products():
         assert max(errors) < 1e-9
 
 
-def _sampled_errors_one_form_product_per_equation(params, equations, samples):
-    # reference loop: the linear forms are rebuilt for every equation and
-    # sample and multiplied in ascending coordinate order
-    errors = []
-    for eq in equations:
-        worst = 0.0
-        for z in samples:
-            expanded = eq.evaluate(z)
-            groups = cons._coordinate_forms(params)
-            point = to_complex(z)
-            raw = mpc(1)
-            for j, bit in enumerate(eq.alpha):
-                if bit:
-                    for const, coeff in groups[j]:
-                        raw *= const + coeff * point
-            worst = max(worst, float(abs(expanded - raw) / (1 + abs(raw))))
-        errors.append(worst)
-    return errors
+def _equations_one_pattern_at_a_time(params):
+    # reference loop: per exponent pattern, the selected coefficients are
+    # multiplied in ascending coordinate order and every zero is divided out
+    # afresh; returned as raw (alpha, constant, roots) tuples
+    s = params.s
+    groups = cons._coordinate_forms(params)
+    out = []
+    for functional in range(1, 1 << (s - 1)):
+        alpha = cons.functional_to_alpha(functional, s)
+        constant = mpc(1)
+        roots = []
+        for j, bit in enumerate(alpha):
+            if bit:
+                for const, coeff in groups[j]:
+                    constant *= coeff
+                    roots.append(-const / coeff)
+        out.append((alpha, constant._mpc_, tuple(r._mpc_ for r in roots)))
+    return out
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+@pytest.mark.parametrize("s", [3, 4, 5, 6, 7, 8])
+def test_derive_equations_reducible_is_bit_identical_to_per_pattern_products(s, bits):
+    saved = mp.prec
+    set_precision(bits)
+    try:
+        rng = random.Random(100 * s + bits)
+        # dividing by 3 fills the whole mantissa at every precision
+        draw = [v / 3 for v in random_admissible(rng, 2 * s - 3)]
+        params = ReducibleParams(draw[0], tuple(
+            (draw[1 + 2 * k], draw[2 + 2 * k]) for k in range(s - 2)))
+        got = [(eq.alpha, eq.constant._mpc_, tuple(r._mpc_ for r in eq.roots))
+               for eq in derive_equations_reducible(params)]
+        assert got == _equations_one_pattern_at_a_time(params)
+    finally:
+        mp.prec = saved
 
 
 @pytest.mark.parametrize("bits", [128, 256])

@@ -66,6 +66,7 @@ CASES = {
     "verify_crosscheck_s4": ["verify", "crosscheck", "--s", "4", "--seed", "7"],
     "verify_crosscheck_s5": ["verify", "crosscheck", "--s", "5", "--seed", "7"],
     "verify_crosscheck_s6": ["verify", "crosscheck", "--s", "6", "--seed", "7"],
+    "verify_crosscheck_s7": ["verify", "crosscheck", "--s", "7", "--seed", "7"],
     "verify_crosscheck_s4_p256": ["verify", "crosscheck", "--s", "4", "--seed", "7",
                                   "--precision", "256"],
     "verify_identities_max6": ["verify", "identities", "--max", "6"],

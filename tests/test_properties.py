@@ -1,8 +1,9 @@
 """Property tests: decompose against brute force, GF(2) elimination against
 explicit spans, the sort-and-sweep collision search against the full
 pairwise scan, the prefiltered first_close against a linear close scan,
-orbit tagging against the first-candidate scan, and cross_ratio_lambda
-against the Mobius map it stands for."""
+orbit tagging against the first-candidate scan, cross_ratio_lambda
+against the Mobius map it stands for, and the sampled equation identity
+against its one-product-per-equation reference loop."""
 
 import random
 from itertools import combinations
@@ -42,7 +43,7 @@ from jacdecomp.numerics import (
     to_complex,
 )
 
-from helpers import random_cover_model
+from helpers import _sampled_errors_one_form_product_per_equation, random_cover_model
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -279,5 +280,51 @@ def test_cross_ratio_lambda_is_the_standard_map_applied(inputs):
             points[inf_at] = INFINITY
         assert _outcome(cross_ratio_lambda, points) == \
             _outcome(_reference_cross_ratio, points)
+    finally:
+        mp.prec = saved
+
+
+# a sample point: (kind, real numerator, imaginary numerator, denominator);
+# thirds and the like fill the whole mantissa at every precision
+_SAMPLES = st.tuples(st.sampled_from(["mpc", "complex", "str"]),
+                     st.integers(-200, 200), st.integers(-200, 200),
+                     st.integers(1, 97))
+
+
+def _sample(kind, re, im, q):
+    if kind == "mpc":
+        return mpc(re, im) / q
+    if kind == "complex":
+        return complex(re / q, im / q)
+    return "%d/%d%+d/%di" % (re, q, im, q)
+
+
+@st.composite
+def identity_cases(draw):
+    """Precision, s, a parameter seed, the positions of a shuffled nonempty
+    subset of the 2^(s-1) - 1 equations, and sample recipes."""
+    s = draw(st.integers(3, 7))
+    count = (1 << (s - 1)) - 1
+    return (draw(st.sampled_from([53, 128, 256])), s, draw(st.integers(0, 2 ** 32)),
+            draw(st.lists(st.integers(0, count - 1), min_size=1, max_size=count,
+                          unique=True)),
+            draw(st.lists(_SAMPLES, min_size=1, max_size=6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(identity_cases())
+def test_sampled_identity_errors_match_reference_on_any_equation_subset(case):
+    bits, s, seed, positions, recipes = case
+    saved = mp.prec
+    mp.prec = bits
+    try:
+        draw = [v / 3 for v in random_admissible(random.Random(seed), 2 * s - 3)]
+        params = constructions.ReducibleParams(draw[0], tuple(
+            (draw[1 + 2 * k], draw[2 + 2 * k]) for k in range(s - 2)))
+        equations = constructions.derive_equations_reducible(params)
+        subset = [equations[k] for k in positions]
+        samples = [_sample(*recipe) for recipe in recipes]
+        assert constructions.sampled_identity_errors(params, subset, samples) == \
+            _sampled_errors_one_form_product_per_equation(params, subset, samples)
     finally:
         mp.prec = saved
