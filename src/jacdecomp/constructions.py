@@ -14,7 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from mpmath import mpc, mpf, sqrt
+from mpmath import mp, mpc, mpf, sqrt
+from mpmath.libmp import (
+    from_int,
+    mpc_abs,
+    mpc_add,
+    mpc_mul,
+    mpc_sub,
+    mpf_add,
+    mpf_div,
+    round_nearest,
+    to_float,
+)
 
 from .cover import CoverModel, DecompositionReport, FactorCurve, decompose
 from .legendre import (
@@ -258,6 +269,11 @@ def derive_equations_reducible(params: ReducibleParams) -> list[CurveEquation]:
     One equation per even-weight nonzero exponent pattern alpha, ordered by
     ascending functional bitmask; the constant is the product of the form
     leading coefficients and the roots are the form zeros.
+
+    Each form's zero is computed once.  Constants and root tuples fill one
+    table over all 2^s coordinate subsets: the entry for a bitmask is the
+    entry without its highest bit times (joined with) that coordinate's
+    forms, so the coefficients are multiplied in ascending coordinate order.
     """
     s = params.s
     groups = _coordinate_forms(params)
@@ -265,19 +281,21 @@ def derive_equations_reducible(params: ReducibleParams) -> list[CurveEquation]:
         for _, coeff in group:
             if abs(coeff) <= epsilon():
                 raise DegenerateParameter("vanishing linear-form coefficient")
+    constants, roots = [mpc(1)], [()]
+    for group in groups:
+        zeros = tuple(-const / coeff for const, coeff in group)
+        for lower in range(len(constants)):
+            constant = constants[lower]
+            for _, coeff in group:
+                constant *= coeff
+            constants.append(constant)
+            roots.append(roots[lower] + zeros)
     equations = []
     for functional in range(1, 1 << (s - 1)):
         alpha = functional_to_alpha(functional, s)
-        constant = mpc(1)
-        roots = []
-        for j, bit in enumerate(alpha):
-            if not bit:
-                continue
-            for const, coeff in groups[j]:
-                constant *= coeff
-                roots.append(-const / coeff)
-        equations.append(CurveEquation(alpha=alpha, constant=constant,
-                                       roots=tuple(roots)))
+        mask = functional | alpha[-1] << (s - 1)
+        equations.append(CurveEquation(alpha=alpha, constant=constants[mask],
+                                       roots=roots[mask]))
     return equations
 
 
@@ -678,23 +696,44 @@ def sampled_identity_errors(params: ReducibleParams, equations, samples) -> list
     Per sample, each form is evaluated once into a table of the raw
     products over all 2^s coordinate subsets: the entry for a bitmask is
     the entry without its highest bit times that coordinate's forms, so
-    the forms are multiplied in ascending coordinate order.
+    the forms are multiplied in ascending coordinate order.  Each distinct
+    root's difference z - root is taken once per sample and shared by every
+    equation holding that root.
+
+    The arithmetic runs on the raw mpmath tuples, with the operations,
+    operands, order and rounding that the mpc operators use, so every error
+    is bit for bit ``float(abs(eq.evaluate(z) - raw) / (1 + abs(raw)))``.
     """
-    groups = _coordinate_forms(params)
-    masks = [sum(bit << j for j, bit in enumerate(eq.alpha)) for eq in equations]
+    prec, rnd = mp.prec, round_nearest
+    one, unit = from_int(1), mpc(1)._mpc_
+    groups = [[(const._mpc_, coeff._mpc_) for const, coeff in group]
+              for group in _coordinate_forms(params)]
+    distinct: dict = {}
+    plan = []
+    for eq in equations:
+        mask = sum(bit << j for j, bit in enumerate(eq.alpha))
+        indices = [distinct.setdefault(root._mpc_, len(distinct)) for root in eq.roots]
+        plan.append((mask, eq.constant._mpc_, indices))
+    roots = list(distinct)
     errors = [0.0] * len(equations)
     for z in samples:
-        z = to_complex(z)
-        table = [mpc(1)]
+        z = to_complex(z)._mpc_
+        table = [unit]
         for group in groups:
-            values = [const + coeff * z for const, coeff in group]
+            values = [mpc_add(const, mpc_mul(coeff, z, prec, rnd), prec, rnd)
+                      for const, coeff in group]
             for lower in range(len(table)):
                 raw = table[lower]
                 for value in values:
-                    raw *= value
+                    raw = mpc_mul(raw, value, prec, rnd)
                 table.append(raw)
-        for k, eq in enumerate(equations):
-            raw = table[masks[k]]
-            error = float(abs(eq.evaluate(z) - raw) / (1 + abs(raw)))
+        differences = [mpc_sub(z, root, prec, rnd) for root in roots]
+        for k, (mask, expanded, indices) in enumerate(plan):
+            for i in indices:
+                expanded = mpc_mul(expanded, differences[i], prec, rnd)
+            raw = table[mask]
+            error = to_float(mpf_div(
+                mpc_abs(mpc_sub(expanded, raw, prec, rnd), prec, rnd),
+                mpf_add(mpc_abs(raw, prec, rnd), one, prec, rnd), prec, rnd), rnd=rnd)
             errors[k] = max(errors[k], error)
     return errors

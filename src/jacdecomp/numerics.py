@@ -50,11 +50,16 @@ def precision() -> int:
 
 
 def set_epsilon(eps) -> None:
-    """Set the global comparison tolerance (positive and finite)."""
+    """Set the global comparison tolerance, in (0, 1).
+
+    Every builder places the branch values 0 and 1, which are 1 apart, so no
+    construction can succeed with a tolerance of 1 or more."""
     global _epsilon
     value = mpf(eps)
     if not (value > 0 and isfinite(value)):
         raise ValueError("epsilon must be positive and finite, got %r" % eps)
+    if value >= 1:
+        raise ValueError("epsilon must be below 1, got %r" % eps)
     _epsilon = value
 
 

@@ -233,6 +233,17 @@ def test_infinite_epsilon_exits_2(capsys):
         assert err == "error: epsilon must be positive and finite, got %r\n" % value
 
 
+def test_epsilon_of_one_or_more_exits_2(capsys):
+    # 0 and 1 are branch values of every construction, so they would
+    # collide; the message names the bound, not a parameter
+    for lambdas, value in (("2,3,4", "1"), ("200,300,400", "1"), ("2,3,4", "7.5")):
+        status, out, err = run_cli(capsys, "construct", "irreducible", "--lambdas", lambdas,
+                                   "--epsilon", value, "--format", "json")
+        assert status == 2
+        assert out == ""
+        assert err == "error: epsilon must be below 1, got %r\n" % value
+
+
 def test_seed_is_a_crosscheck_option():
     for argv in (["verify", "bound", "--r", "4"], ["construct", "genus2", "--l1", "2",
                                                    "--l2", "-1"]):

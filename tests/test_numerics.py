@@ -53,6 +53,16 @@ def test_epsilon_must_be_finite():
     assert epsilon() == before
 
 
+def test_epsilon_must_be_below_one():
+    before = epsilon()
+    for bad in (1, "1", "1.5", 2.5, "1e300"):
+        with pytest.raises(ValueError, match="epsilon must be below 1, got %r$" % bad):
+            set_epsilon(bad)
+    assert epsilon() == before
+    set_epsilon("0.999")
+    assert epsilon() == mpf("0.999")
+
+
 def test_mobius_identity_fixes_points():
     assert close(MobiusMap(1, 0, 0, 1).apply(mpc(5)), 5)
 
