@@ -20,12 +20,6 @@ from . import constructions as cons
 from . import cover, legendre, numerics
 from .numerics import format_point, parse_point
 
-DIGITS = 17
-
-
-def fmt(value) -> str:
-    return format_point(value, DIGITS)
-
 
 def functional_bits(functional: int, rank: int) -> str:
     """Render a functional as a bit string, coordinate 1 first."""
@@ -35,7 +29,7 @@ def functional_bits(functional: int, rank: int) -> str:
 def factor_terms(model: cover.CoverModel) -> dict:
     """The term "(x - p)^1" of each finite branch point p, rendered once and
     keyed by id(p): the roots of the model's factors are its point objects."""
-    return {id(p): "(x - %s)^1" % fmt(p) for p in model.points
+    return {id(p): "(x - %s)^1" % format_point(p) for p in model.points
             if not numerics.is_infinity(p)}
 
 
@@ -49,15 +43,15 @@ def equation_name(alpha) -> str:
 
 
 def render_curve_equation(eq: cons.CurveEquation) -> str:
-    terms = [fmt(eq.constant)]
+    terms = [format_point(eq.constant)]
     for root in eq.roots:
-        terms.append("(z - %s)^1" % fmt(root))
+        terms.append("(z - %s)^1" % format_point(root))
     return "%s^2 = %s" % (equation_name(eq.alpha), " * ".join(terms))
 
 
 def branch_table(model: cover.CoverModel) -> list[dict]:
     return [
-        {"point": fmt(point), "vector": functional_bits(vector, model.rank)}
+        {"point": format_point(point), "vector": functional_bits(vector, model.rank)}
         for point, vector in model.branch
     ]
 
@@ -71,17 +65,17 @@ def _parse_values(text: str) -> list:
 
 
 def _pairs(mu) -> list:
-    return [[fmt(a), fmt(b)] for a, b in mu]
+    return [[format_point(a), format_point(b)] for a, b in mu]
 
 
 def _build_genus2(args) -> dict:
     l1, l2 = parse_point(args.l1), parse_point(args.l2)
     equation, model = cons.build_genus2(l1, l2)
-    eta1, eta2 = fmt(equation.eta1), fmt(equation.eta2)
+    eta1, eta2 = format_point(equation.eta1), format_point(equation.eta2)
     return {
         "model": model,
         "candidates": [l1, l2],
-        "construction": {"type": "genus2", "l1": fmt(l1), "l2": fmt(l2),
+        "construction": {"type": "genus2", "l1": format_point(l1), "l2": format_point(l2),
                          "eta1": eta1, "eta2": eta2},
         "equations": lambda: ["y^2 = (x^2 - 1) * (x^2 - %s) * (x^2 - %s)" % (eta1, eta2)],
     }
@@ -93,9 +87,9 @@ def _build_irreducible(args) -> dict:
         "model": cons.build_irreducible(values),
         "candidates": values,
         "construction": {"type": "irreducible", "r": len(values),
-                         "lambdas": [fmt(v) for v in values]},
-        "equations": lambda: ["y_%d^2 = (x - 0)^1 * (x - 1)^1 * (x - %s)^1" % (j + 1, fmt(v))
-                              for j, v in enumerate(values)],
+                         "lambdas": [format_point(v) for v in values]},
+        "equations": lambda: ["y_%d^2 = (x - 0)^1 * (x - 1)^1 * (x - %s)^1"
+                              % (j + 1, format_point(v)) for j, v in enumerate(values)],
     }
 
 
@@ -116,7 +110,7 @@ def _build_reducible(args) -> dict:
             raise legendre.InvalidDomain("--chain cannot be combined with --lambda or --mu")
         chain = cons.chain_with_auxiliary(_parse_values(args.chain))
         params = cons.solve_mu_chain(chain)
-        candidates, extra = list(chain), {"chain": [fmt(v) for v in chain]}
+        candidates, extra = list(chain), {"chain": [format_point(v) for v in chain]}
     else:
         if args.lam is None or args.mu is None:
             raise legendre.InvalidDomain(
@@ -127,7 +121,7 @@ def _build_reducible(args) -> dict:
         params = cons.ReducibleParams(parse_point(args.lam), tuple(zip(mus[::2], mus[1::2])))
         candidates, extra = params.flat(), {}
     return _two_component(params, candidates, {
-        "type": "reducible", "s": params.s, "lambda": fmt(params.lam),
+        "type": "reducible", "s": params.s, "lambda": format_point(params.lam),
         "mu": _pairs(params.mu), **extra})
 
 
@@ -135,7 +129,7 @@ def _build_genus9(args) -> dict:
     lam, mu = parse_point(args.lam), parse_point(args.mu)
     params = cons.genus9_parameters(lam, mu)
     return _two_component(params, params.flat(), {
-        "type": "genus9", "lambda": fmt(lam), "mu": fmt(mu),
+        "type": "genus9", "lambda": format_point(lam), "mu": format_point(mu),
         "derived_mu": _pairs(params.mu)})
 
 
@@ -211,7 +205,7 @@ def cmd_decompose(args) -> tuple[dict, int]:
         "genus": curve.genus,
         "equation": render_factor_curve(curve, terms),
         "deleted_infinity": curve.deleted_infinity,
-        "orbit_of": None if tag is None else fmt(tag),
+        "orbit_of": None if tag is None else format_point(tag),
     } for (functional, curve), tag in zip(report.factors, tags)]
     payload = {
         "construction": built["construction"],
@@ -237,7 +231,7 @@ def cmd_verify(args) -> tuple[dict, int]:
     elif args.verification == "g5":
         report = cons.check_genus5_family(parse_point(args.l1), parse_point(args.l2))
         checks["pairing"] = {
-            "pass": bool(report.pairing),
+            "pass": report.pairing.ok,
             "pairs": _pairs(report.pairing.pairs),
         }
         checks["elliptic_count"] = {
@@ -252,17 +246,17 @@ def cmd_verify(args) -> tuple[dict, int]:
         try:
             report = cons.check_genus13_family(parse_point(args.l1), parse_point(args.l2))
         except cons.ConstraintViolated as exc:
-            checks["constraint"] = {"pass": False, "residual": fmt(exc.residual)}
+            checks["constraint"] = {"pass": False, "residual": format_point(exc.residual)}
             return {"checks": checks, "ok": False}, 1
-        checks["constraint"] = {"pass": True, "residual": fmt(report.residual)}
+        checks["constraint"] = {"pass": True, "residual": format_point(report.residual)}
         checks["derived_parameters"] = {
             "pass": True,
-            "l3": fmt(report.lambdas[2]),
-            "l4": fmt(report.lambdas[3]),
+            "l3": format_point(report.lambdas[2]),
+            "l4": format_point(report.lambdas[3]),
         }
         for functional, pairing in sorted(report.pairings.items()):
             checks["pairing_%s" % functional_bits(functional, 4)] = {
-                "pass": bool(pairing),
+                "pass": pairing.ok,
                 "pairs": _pairs(pairing.pairs),
             }
         checks["elliptic_count"] = {

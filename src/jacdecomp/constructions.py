@@ -217,10 +217,6 @@ class CurveEquation(NamedTuple):
     constant: mpc
     roots: tuple
 
-    @property
-    def degree(self) -> int:
-        return len(self.roots)
-
     def evaluate(self, z) -> mpc:
         value = self.constant
         z = to_complex(z)
@@ -365,7 +361,7 @@ def genus9_parameters(lam, mu) -> ReducibleParams:
         raise DegenerateParameter("derived parameters collide: %s" % exc) from exc
     points = [INFINITY, mpc(0), mpc(1), lam, m11, m12, m21, m22]
     for m in (MobiusMap(0, lam, 1, 0), MobiusMap(lam, -lam, 1, -lam)):
-        if not branch_set_pairing(m, points):
+        if not branch_set_pairing(m, points).ok:
             raise DegenerateParameter(
                 "branch-set involution fails to pair the eight points")
     return params
@@ -464,7 +460,7 @@ def _split_family(values, involutions: dict) -> tuple:
     curves = dict(report.factors)
     pairings = {functional: branch_set_pairing(m, curves[functional].roots)
                 for functional, m in sorted(involutions.items())}
-    count = genera.count(1) + 2 * sum(1 for p in pairings.values() if p)
+    count = genera.count(1) + 2 * sum(1 for p in pairings.values() if p.ok)
     return genera, pairings, count
 
 
@@ -479,7 +475,7 @@ class Genus5Report:
 
     @property
     def ok(self) -> bool:
-        return bool(self.pairing) and self.elliptic_count == 5
+        return self.pairing.ok and self.elliptic_count == 5
 
 
 def check_genus5_family(l1, l2) -> Genus5Report:
@@ -507,7 +503,7 @@ class Genus13Report:
 
     @property
     def ok(self) -> bool:
-        return all(bool(p) for p in self.pairings.values()) and self.elliptic_count == 13
+        return all(p.ok for p in self.pairings.values()) and self.elliptic_count == 13
 
 
 def check_genus13_family(l1, l2) -> Genus13Report:

@@ -318,9 +318,6 @@ class KaniRosenDiagnostics:
     def ok(self) -> bool:
         return self.joins_ok and self.sum_ok
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def kani_rosen_criterion(c: CoverModel, subgroups) -> KaniRosenDiagnostics:
     """Check the decomposition hypotheses for an explicit list of subgroups.

@@ -108,9 +108,6 @@ class PairingResult:
     def ok(self) -> bool:
         return self.offender is None
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def branch_set_pairing(m: MobiusMap, points) -> PairingResult:
     """Pair up a branch set under an involution.

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from itertools import combinations
 
-from mpmath import isfinite, mp, mpc, mpf, sqrt
+from mpmath import isfinite, mp, mpc, mpf, nstr, sqrt
 
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_EPSILON = "1e-9"
@@ -43,10 +43,6 @@ def set_precision(bits: int) -> None:
     if bits < 53:
         raise ValueError("precision must be at least 53 bits, got %r" % bits)
     mp.prec = bits
-
-
-def precision() -> int:
-    return mp.prec
 
 
 def set_epsilon(eps) -> None:
@@ -245,30 +241,33 @@ def point_sort_key(p):
     return (1, float(p.real), float(p.imag))
 
 
-def format_complex(z, digits: int = 17) -> str:
-    """Render a finite value in the literal grammar at fixed significant digits."""
+def format_complex(z) -> str:
+    """Render a finite value in the literal grammar at 17 significant digits;
+    a part beyond the double range raises ValueError, as in literals."""
     if type(z) is not mpc:
         z = mpc(z)
-    re_s = _format_real(z.real, digits)
+    re_s = _format_real(z.real)
     im = float(z.imag)
     if im == 0.0:
         return re_s
-    im_s = _format_real(abs(z.imag), digits)
+    im_s = _format_real(abs(z.imag))
     sign = "-" if im < 0 else "+"
     if float(z.real) == 0.0:
         return ("-" if im < 0 else "") + im_s + "i"
     return re_s + sign + im_s + "i"
 
 
-def format_point(p, digits: int = 17) -> str:
-    return "inf" if is_infinity(p) else format_complex(p, digits)
+def format_point(p) -> str:
+    return "inf" if is_infinity(p) else format_complex(p)
 
 
-def _format_real(x, digits: int) -> str:
+def _format_real(x) -> str:
     v = float(x)
     if v == 0.0:
         v = 0.0  # fold -0.0 into one rendering
-    return "%.*g" % (digits, v)
+    elif math.isinf(v):
+        raise ValueError("value %s exceeds the double range" % nstr(x, 5))
+    return "%.17g" % v
 
 
 _REAL = r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
@@ -371,7 +370,7 @@ def _parse_real(token: str) -> mpf:
 
 @dataclass(frozen=True)
 class MobiusMap:
-    """The map z -> (a z + b) / (c z + d) with nonzero determinant."""
+    """The map z -> (a z + b) / (c z + d) with ad - bc nonzero."""
 
     a: mpc
     b: mpc
@@ -381,11 +380,8 @@ class MobiusMap:
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, to_complex(getattr(self, name)))
-        if abs(self.determinant()) <= _epsilon:
+        if abs(self.a * self.d - self.b * self.c) <= _epsilon:
             raise ValueError("Mobius map is singular: |ad - bc| <= epsilon")
-
-    def determinant(self) -> mpc:
-        return self.a * self.d - self.b * self.c
 
     def apply(self, p):
         """Evaluate on a sphere point, with projective pole conventions."""
@@ -399,26 +395,17 @@ class MobiusMap:
             return INFINITY
         return (self.a * z + self.b) / den
 
-    def inverse(self) -> "MobiusMap":
-        return MobiusMap(self.d, -self.b, -self.c, self.a)
-
-    def compose(self, other: "MobiusMap") -> "MobiusMap":
-        """Return the map z -> self(other(z))."""
-        return MobiusMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
     def is_involution(self) -> bool:
-        """True when the map composed with itself is the identity (within tolerance)."""
-        m2 = self.compose(self)
-        scale = max(abs(m2.a), abs(m2.b), abs(m2.c), abs(m2.d))
+        """True when the matrix squared is a multiple of the identity, within
+        tolerance relative to its largest entry (the square may be nearly singular)."""
+        a, b, c, d = self.a, self.b, self.c, self.d
+        a2, b2 = a * a + b * c, a * b + b * d
+        c2, d2 = c * a + d * c, c * b + d * d
+        scale = max(abs(a2), abs(b2), abs(c2), abs(d2))
         return (
-            abs(m2.b) <= _epsilon * scale
-            and abs(m2.c) <= _epsilon * scale
-            and abs(m2.a - m2.d) <= _epsilon * scale
+            abs(b2) <= _epsilon * scale
+            and abs(c2) <= _epsilon * scale
+            and abs(a2 - d2) <= _epsilon * scale
         )
 
 
@@ -434,38 +421,27 @@ _ZERO = mpc(0)
 _ONE = mpc(1)
 
 
-def _standard_coefficients(p1, p2, p3) -> tuple:
-    """Coefficients (a, b, c, d) of the Mobius map sending three distinct
-    points (p1, p2, p3) to (inf, 0, 1)."""
-    if is_infinity(p1):
-        z2, z3 = to_complex(p2), to_complex(p3)
-        return _ONE, -z2, _ZERO, z3 - z2
-    if is_infinity(p2):
-        z1, z3 = to_complex(p1), to_complex(p3)
-        return _ZERO, z3 - z1, _ONE, -z1
-    if is_infinity(p3):
-        z1, z2 = to_complex(p1), to_complex(p2)
-        return _ONE, -z2, _ONE, -z1
-    z1, z2, z3 = to_complex(p1), to_complex(p2), to_complex(p3)
-    return z3 - z1, -z2 * (z3 - z1), z3 - z2, -z1 * (z3 - z2)
-
-
-def mobius_to_standard(p1, p2, p3) -> MobiusMap:
-    """The unique Mobius map sending (p1, p2, p3) to (inf, 0, 1)."""
-    _require_distinct([p1, p2, p3])
-    return MobiusMap(*_standard_coefficients(p1, p2, p3))
-
-
 def cross_ratio_lambda(p1, p2, p3, p4) -> mpc:
     """The value t with some Mobius map sending (p1, p2, p3, p4) to (inf, 0, 1, t).
 
     The four points must be pairwise distinct, so the result is finite and
-    avoids 0 and 1.  The value, the singular-map check and the pole rule are
-    those of ``mobius_to_standard(p1, p2, p3).apply(p4)``, computed with the
-    same operations without building the map.
+    avoids 0 and 1.  The map z -> (a z + b) / (c z + d) sending (p1, p2, p3)
+    to (inf, 0, 1) is applied to p4 with the singular-map check of MobiusMap
+    and the pole rule of MobiusMap.apply, without building the map.
     """
     _require_distinct([p1, p2, p3, p4])
-    a, b, c, d = _standard_coefficients(p1, p2, p3)
+    if is_infinity(p1):
+        z2, z3 = to_complex(p2), to_complex(p3)
+        a, b, c, d = _ONE, -z2, _ZERO, z3 - z2
+    elif is_infinity(p2):
+        z1, z3 = to_complex(p1), to_complex(p3)
+        a, b, c, d = _ZERO, z3 - z1, _ONE, -z1
+    elif is_infinity(p3):
+        z1, z2 = to_complex(p1), to_complex(p2)
+        a, b, c, d = _ONE, -z2, _ONE, -z1
+    else:
+        z1, z2, z3 = to_complex(p1), to_complex(p2), to_complex(p3)
+        a, b, c, d = z3 - z1, -z2 * (z3 - z1), z3 - z2, -z1 * (z3 - z2)
     if abs(a * d - b * c) <= _epsilon:
         raise ValueError("Mobius map is singular: |ad - bc| <= epsilon")
     if is_infinity(p4):

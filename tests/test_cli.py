@@ -79,6 +79,18 @@ def test_construct_genus9(capsys):
     assert len(payload["construction"]["derived_mu"]) == 2
 
 
+def test_genus9_with_a_nearly_singular_pairing_square(capsys):
+    # the square of x -> 1e-5/x has determinant 1e-10, below the tolerance
+    status, payload, _ = run_json(
+        capsys, "construct", "genus9", "--lambda", "1e-5", "--mu", "0.3+1.1i")
+    assert status == 0
+    assert payload["genus"] == 9
+    status, payload, _ = run_json(
+        capsys, "verify", "g5", "--l1", "1e-5", "--l2", "0.3+1.1i")
+    assert status == 0
+    assert payload["ok"] is True
+
+
 def test_decompose_irreducible_r4(capsys):
     status, payload, _ = run_json(
         capsys, "decompose", "irreducible", "--lambdas", "2,3,4,5")
@@ -307,6 +319,15 @@ def test_overflowing_literal_exits_2(capsys):
     assert status == 2
     assert out == ""
     assert err == "error: literal '1e400' exceeds the double range\n"
+
+
+def test_derived_value_beyond_the_double_range_exits_2(capsys):
+    # eta1 = (l1 - 1)/(l2 - 1) = 5e309 is finite but does not fit a double
+    status, out, err = run_cli(capsys, "construct", "genus2", "--l1", "1e301",
+                               "--l2", "1.000000002", "--format", "json")
+    assert status == 2
+    assert out == ""
+    assert err == "error: value 5.0e+309 exceeds the double range\n"
 
 
 def python_with_precision_env(value, *args):

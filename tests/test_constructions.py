@@ -254,7 +254,7 @@ def test_equations_agree_with_quotient_branch_sets():
             else:
                 expected.append(1 / (point - pivot))
         got = list(eq.roots)
-        assert (eq.degree % 2 == 1) == infinity_expected
+        assert (len(eq.roots) % 2 == 1) == infinity_expected
         assert len(got) == len(expected)
         for want in expected:
             hit = next((i for i, g in enumerate(got) if abs(g - want) < 1e-9), None)
@@ -369,7 +369,7 @@ def test_genus9_split_count():
     genus3 = next(c for _, c in report.factors if c.genus == 3)
     elliptic = sum(1 for _, c in report.factors if c.genus == 1)
     both_pair = all(
-        branch_set_pairing(m, genus3.roots)
+        branch_set_pairing(m, genus3.roots).ok
         for m in (MobiusMap(0, lam, 1, 0), MobiusMap(lam, -lam, 1, -lam)))
     # two commuting fixed-point-free pairings split the genus-3 factor fully
     split = 3 if both_pair else 0
@@ -593,7 +593,7 @@ def test_genus13_family_reference_point():
     assert abs(report.residual) < 1e-12
     assert abs(report.lambdas[2] - (4 - mpc(0, 1) * sqrt(2)) / 3) < 1e-12
     assert abs(report.lambdas[3] - mpc(0, -1) * sqrt(2)) < 1e-12
-    assert all(bool(p) for p in report.pairings.values())
+    assert all(p.ok for p in report.pairings.values())
     assert report.elliptic_count == 13
     assert sorted(report.factor_genera) == [1, 1, 1, 1, 1, 2, 2, 2, 2]
 

@@ -14,7 +14,6 @@ from jacdecomp.numerics import (
     format_complex,
     format_point,
     is_infinity,
-    mobius_to_standard,
     parse_complex,
     parse_point,
     points_equal,
@@ -128,18 +127,19 @@ def test_mobius_bijection_roundtrip():
     rng = random.Random(11)
     for _ in range(25):
         m = random_mobius(rng)
-        inv = m.inverse()
+        inv = MobiusMap(m.d, -m.b, -m.c, m.a)
         points = [INFINITY] + random_admissible(rng, 5)
         for p in points:
             assert points_equal(inv.apply(m.apply(p)), p)
 
 
-def test_mobius_composition_matches_pointwise():
-    rng = random.Random(12)
-    for _ in range(20):
-        m1, m2 = random_mobius(rng), random_mobius(rng)
-        z = mpc(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        assert points_equal(m1.compose(m2).apply(z), m1.apply(m2.apply(z)))
+def test_is_involution_on_the_pairing_maps():
+    # x -> l/x and x -> l(x - 1)/(x - l) are involutions; x -> 2x is not.  At
+    # l = 1e-5 the squares have determinants near 1e-10, below the tolerance.
+    for lam in (mpc(2), mpc(0.3, 1.1), mpc(-5, 0.25), mpf("1e-5")):
+        assert MobiusMap(0, lam, 1, 0).is_involution()
+        assert MobiusMap(lam, -lam, 1, -lam).is_involution()
+    assert not MobiusMap(2, 0, 0, 1).is_involution()
 
 
 def test_cross_ratio_already_normalized():
@@ -208,15 +208,12 @@ def test_parse_complex_rejects_double_overflow():
     assert format_complex(parse_complex("1.5e308")) == "1.5e+308"
 
 
-def test_to_standard_sends_triple():
-    rng = random.Random(15)
-    for _ in range(20):
-        pts = [INFINITY] + random_admissible(rng, 2) if rng.random() < 0.5 \
-            else random_admissible(rng, 3)
-        m = mobius_to_standard(*pts)
-        assert is_infinity(m.apply(pts[0]))
-        assert close(m.apply(pts[1]), 0)
-        assert close(m.apply(pts[2]), 1)
+def test_format_rejects_parts_beyond_the_double_range():
+    huge = mpf("5e309")
+    for z in (mpc(huge), mpc(1, -huge), mpc(-huge, 2)):
+        with pytest.raises(ValueError, match="exceeds the double range"):
+            format_complex(z)
+    assert format_point(mpc(-1.5e308, 2)) == "-1.5e+308+2i"
 
 
 def test_solve_quadratic_simple():

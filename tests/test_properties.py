@@ -36,6 +36,7 @@ from jacdecomp.numerics import (
     epsilon,
     first_close,
     first_collision,
+    format_point,
     is_infinity,
     near_table,
     point_sort_key,
@@ -187,7 +188,7 @@ def tagging_builds(draw):
     else:
         selector, count = "--chain", draw(st.integers(3, 7))
         construction = "reducible"
-    text = ",".join(cli.fmt(v) for v in random_admissible(rng, count))
+    text = ",".join(format_point(v) for v in random_admissible(rng, count))
     return ["decompose", construction, "%s=%s" % (selector, text)]
 
 
@@ -211,13 +212,14 @@ def test_orbit_tags_match_first_candidate_scan(argv):
     assert tags == want
     payload, _ = cli.cmd_decompose(args)
     assert [f["orbit_of"] for f in payload["factors"]] == [
-        None if tag is None else cli.fmt(tag) for tag in want]
+        None if tag is None else format_point(tag) for tag in want]
 
 
 def _reference_cross_ratio(p1, p2, p3, p4):
     """cross_ratio_lambda written as the composition it stands for: the
-    four-point and three-point collision checks, mobius_to_standard(p1, p2,
-    p3) built as a MobiusMap, that map applied to p4, then the pole rule."""
+    four-point and three-point collision checks, the map sending (p1, p2,
+    p3) to (inf, 0, 1) built as a MobiusMap, that map applied to p4, then
+    the pole rule."""
     numerics._require_distinct([p1, p2, p3, p4])
     numerics._require_distinct([p1, p2, p3])
     if is_infinity(p1):
