@@ -68,7 +68,7 @@ def _pairs(mu) -> list:
     return [[format_point(a), format_point(b)] for a, b in mu]
 
 
-def _build_genus2(args) -> dict:
+def _build_genus2(args, orbits) -> dict:
     l1, l2 = parse_point(args.l1), parse_point(args.l2)
     equation, model = cons.build_genus2(l1, l2)
     eta1, eta2 = format_point(equation.eta1), format_point(equation.eta2)
@@ -81,7 +81,7 @@ def _build_genus2(args) -> dict:
     }
 
 
-def _build_irreducible(args) -> dict:
+def _build_irreducible(args, orbits) -> dict:
     values = _parse_values(args.lambdas)
     return {
         "model": cons.build_irreducible(values),
@@ -104,12 +104,12 @@ def _two_component(params, candidates, construction: dict) -> dict:
     }
 
 
-def _build_reducible(args) -> dict:
+def _build_reducible(args, orbits) -> dict:
     if args.chain:
         if args.lam is not None or args.mu is not None:
             raise legendre.InvalidDomain("--chain cannot be combined with --lambda or --mu")
         chain = cons.chain_with_auxiliary(_parse_values(args.chain))
-        params = cons.solve_mu_chain(chain)
+        params = cons.solve_mu_chain(chain, orbits)
         candidates, extra = list(chain), {"chain": [format_point(v) for v in chain]}
     else:
         if args.lam is None or args.mu is None:
@@ -125,7 +125,7 @@ def _build_reducible(args) -> dict:
         "mu": _pairs(params.mu), **extra})
 
 
-def _build_genus9(args) -> dict:
+def _build_genus9(args, orbits) -> dict:
     lam, mu = parse_point(args.lam), parse_point(args.mu)
     params = cons.genus9_parameters(lam, mu)
     return _two_component(params, params.flat(), {
@@ -143,9 +143,13 @@ BUILDERS = {
 
 def build_from_args(args) -> dict:
     """Resolve a construction subcommand into its model, the parameters that
-    tag genus-1 factors, the construction record and a function that
-    derives and renders the equations (only `construct` calls it)."""
-    return BUILDERS[args.construction](args)
+    tag genus-1 factors, the construction record, a function that derives
+    and renders the equations (only `construct` calls it) and the orbit
+    table that a solver filled and tagging reuses."""
+    orbits = legendre.OrbitTable()
+    built = BUILDERS[args.construction](args, orbits)
+    built["orbits"] = orbits
+    return built
 
 
 def _common_options() -> argparse.ArgumentParser:
@@ -198,7 +202,7 @@ def cmd_decompose(args) -> tuple[dict, int]:
     built = build_from_args(args)
     model = built["model"]
     report = cover.decompose(model)
-    tags = cons.tag_factors(report, built["candidates"])
+    tags = cons.tag_factors(report, built["candidates"], built["orbits"])
     terms = factor_terms(model)
     factors = [{
         "functional": functional_bits(functional, model.rank),
@@ -278,10 +282,18 @@ def cmd_verify(args) -> tuple[dict, int]:
     return {"checks": checks, "ok": ok}, 0 if ok else 1
 
 
+# Largest `verify crosscheck --s`: the derived system and the sampled table
+# hold 2^s entries each, so the time doubles with every step of s.
+CROSSCHECK_MAX_S = 16
+
+
 def _crosscheck(s: int, seed: int) -> dict:
     """Derived equation system versus closed forms and raw form products."""
     if s < 3:
         raise legendre.InvalidDomain("crosscheck needs s >= 3")
+    if s > CROSSCHECK_MAX_S:
+        raise legendre.InvalidDomain("crosscheck is capped at s <= %d (its tables hold 2^s "
+                                     "entries), got %d" % (CROSSCHECK_MAX_S, s))
     rng = random.Random(seed)
     checks: dict[str, dict] = {}
     if s == 3:
@@ -314,10 +326,10 @@ def _crosscheck(s: int, seed: int) -> dict:
         "max_error": "%.3g" % max(errors),
         "equations": len(equations),
     }
+    closed = cons.closed_form_constants(params, [eq.alpha for eq in equations])
     constant_ok = all(
-        abs(cons.closed_form_constant(params, eq.alpha) - eq.constant)
-        <= cons.CROSSCHECK_TOLERANCE * (1 + abs(eq.constant))
-        for eq in equations)
+        abs(want - eq.constant) <= cons.CROSSCHECK_TOLERANCE * (1 + abs(eq.constant))
+        for want, eq in zip(closed, equations))
     checks["closed_form_constants"] = {"pass": constant_ok}
     return checks
 

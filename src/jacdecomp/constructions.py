@@ -30,24 +30,23 @@ from mpmath.libmp import (
 from .cover import CoverModel, DecompositionReport, FactorCurve, decompose
 from .legendre import (
     InvalidDomain,
+    OrbitTable,
     PairingResult,
+    admissible_entry,
     branch_set_pairing,
     cross_ratio_lambda,
-    require_admissible,
     require_admissible_tuple,
-    s3_orbit,
-    same_curve,
 )
 from .numerics import (
     INFINITY,
     DomainError,
     MobiusMap,
     close,
+    cross_ratio_unchecked,
     epsilon,
-    first_close,
     first_collision,
+    first_near,
     format_point,
-    near_table,
     solve_quadratic,
     to_complex,
 )
@@ -299,12 +298,13 @@ def derive_equations_reducible(params: ReducibleParams) -> list[CurveEquation]:
 # Parameter solvers
 
 
-def _pick_root(quadratic, admissible, oracles, heading: str, **context) -> mpc:
+def _pick_root(quadratic, admissible, oracles, orbits: OrbitTable, heading: str,
+               **context) -> mpc:
     """The first root of the quadratic (a, b, c) passing ``admissible`` (raises
     InvalidDomain) and the (target, four points, message) orbit oracles of
-    ``oracles(root)`` in order.  A root stops at its first failure; only then
-    is that message, a ``str.format`` template over ``mu`` and ``context``,
-    formatted."""
+    ``oracles(root)`` in order, each target's orbit taken from ``orbits``.  A
+    root stops at its first failure; only then is that message, a
+    ``str.format`` template over ``mu`` and ``context``, formatted."""
     failures = []
     for root in solve_quadratic(*quadratic):
         try:
@@ -313,7 +313,8 @@ def _pick_root(quadratic, admissible, oracles, heading: str, **context) -> mpc:
             failures.append(str(exc))
             continue
         failed = next((message for target, points, message in oracles(root)
-                       if not same_curve(target, cross_ratio_lambda(*points))), None)
+                       if not orbits.same_curve(target, cross_ratio_lambda(*points))),
+                      None)
         if failed is None:
             return root
         failures.append(failed.format(mu=format_point(root), **context))
@@ -339,6 +340,7 @@ def solve_mu_genus3(l1, l2, l3) -> mpc:
             (l2, (1, l1, mu, l3 * mu), "orbit oracle for second factor failed at mu={mu}"),
             (l3, (INFINITY, 0, mu, l3 * mu), "orbit oracle for third factor failed at mu={mu}"),
         ],
+        OrbitTable(),
         "no quadratic root passes the domain and oracle checks: ")
 
 
@@ -376,7 +378,7 @@ def genus_upper_bound(r: int) -> int:
     return 1 + (1 << ((r - 3) // 2)) * (r - 1)
 
 
-def solve_mu_chain(lambdas) -> ReducibleParams:
+def solve_mu_chain(lambdas, orbits: OrbitTable | None = None) -> ReducibleParams:
     """Chain of quadratic solves realizing r = 2s-3 prescribed genus-1
     factors inside the two-component family.
 
@@ -384,8 +386,11 @@ def solve_mu_chain(lambdas) -> ReducibleParams:
     which pins the (inf, 0) branch-set factor, and the quadratic pins the
     (1, lam) branch-set factor to lambda_{s-1+j}.  Both roots are tried in
     a deterministic order and every acceptance is certified by the
-    cross-ratio oracles and by admissibility of the accumulated tuple.
+    cross-ratio oracles and by admissibility of the accumulated tuple.  The
+    oracles take each target's orbit from ``orbits`` (a fresh table when
+    None), which tag_factors can then reuse.
     """
+    orbits = OrbitTable() if orbits is None else orbits
     values = require_admissible_tuple(lambdas)
     r = len(values)
     if r < 3 or r % 2 == 0:
@@ -407,6 +412,7 @@ def solve_mu_chain(lambdas) -> ReducibleParams:
                 (ratio, (INFINITY, 0, mu, ratio * mu), "ratio oracle failed at pair {pair}"),
                 (target, (1, lam, mu, ratio * mu), "target oracle failed at pair {pair}"),
             ],
+            orbits,
             "pair {pair}: no root passes the checks: ", pair=j)
         chosen = (mu1, ratio * mu1)
         accumulated.extend(chosen)
@@ -542,24 +548,30 @@ def factor_lambda_invariant(curve: FactorCurve) -> mpc:
     return cross_ratio_lambda(p1, p2, p3, p4)
 
 
-def tag_factors(report: DecompositionReport, candidates) -> list:
+def tag_factors(report: DecompositionReport, candidates,
+                orbits: OrbitTable | None = None) -> list:
     """Per factor: for genus 1 the first candidate, in input order, whose
-    S3 orbit (computed once per candidate) holds the factor's invariant,
-    else the invariant; None for any other genus.
+    S3 orbit holds the factor's invariant, else the invariant; None for any
+    other genus.
 
-    The orbits form one near_table in candidate order, so the first entry
-    close to the invariant belongs to the first matching candidate."""
-    owners, images = [], []
+    The candidates' orbits come from ``orbits`` (a fresh table when None)
+    and form one near_entry list in candidate order, so the first entry
+    close to the invariant belongs to the first matching candidate.  Each
+    invariant is cross_ratio_unchecked of the factor's roots: they are
+    branch points of one CoverModel, which has already checked them for
+    collisions with the same points_equal rule.  Its one double copy serves
+    the admissibility test and the orbit scan."""
+    orbits = OrbitTable() if orbits is None else orbits
+    owners, table = [], []
     for candidate in candidates:
-        orbit = s3_orbit(candidate)
-        owners.extend([candidate] * len(orbit))
-        images.extend(orbit)
-    table = near_table(images)
+        entries = orbits.orbit(candidate)
+        owners.extend([candidate] * len(entries))
+        table.extend(entries)
 
     def tag(curve):
-        invariant = require_admissible(factor_lambda_invariant(curve))
-        k = first_close(invariant, table)
-        return invariant if k is None else owners[k]
+        entry = admissible_entry(cross_ratio_unchecked(*curve.roots))
+        k = first_near(entry, table)
+        return mp.make_mpc(entry[2]) if k is None else owners[k]
     return [tag(curve) if curve.genus == 1 else None for _, curve in report.factors]
 
 
@@ -574,26 +586,33 @@ CROSSCHECK_TOLERANCE = 1e-9
 ROOT_MATCH_TOLERANCE = 1e-6
 
 
-def closed_form_constant(params: ReducibleParams, alpha) -> mpc:
-    """The published product formula for an equation constant.
+def closed_form_constants(params: ReducibleParams, alphas) -> list[mpc]:
+    """The published product formula for the constant of each exponent
+    pattern in ``alphas``.
 
     Recomputed directly from the parameter tuple rather than from the
-    elimination pipeline, for cross-checking.
+    elimination pipeline, for cross-checking.  Each deck coordinate's factor
+    is formed once per call and multiplied in ascending coordinate order.
     """
     s = params.s
     pivot = params.mu[s - 3][1]
-    value = mpc(1)
-    if alpha[0]:
-        value *= -pivot
-    if alpha[1]:
-        value *= (pivot - 1) * (pivot - params.lam)
-    for k in range(1, s - 2):
-        if alpha[k + 1]:
-            a, b = params.mu[k - 1]
-            value *= (pivot - a) * (pivot - b)
-    if alpha[s - 1]:
-        value *= pivot - params.mu[s - 3][0]
-    return value
+    factors = [-pivot, (pivot - 1) * (pivot - params.lam)]
+    for a, b in params.mu[:s - 3]:
+        factors.append((pivot - a) * (pivot - b))
+    factors.append(pivot - params.mu[s - 3][0])
+    constants = []
+    for alpha in alphas:
+        value = mpc(1)
+        for bit, factor in zip(alpha, factors):
+            if bit:
+                value *= factor
+        constants.append(value)
+    return constants
+
+
+def closed_form_constant(params: ReducibleParams, alpha) -> mpc:
+    """closed_form_constants for one exponent pattern."""
+    return closed_form_constants(params, [alpha])[0]
 
 
 def reference_system_s3(l1, l3, mu) -> dict:
@@ -690,9 +709,11 @@ def sampled_identity_errors(params: ReducibleParams, equations, samples) -> list
     given sample points.
 
     Per sample, each form is evaluated once into a table of the raw
-    products over all 2^s coordinate subsets: the entry for a bitmask is
-    the entry without its highest bit times that coordinate's forms, so
-    the forms are multiplied in ascending coordinate order.  Each distinct
+    products over the coordinate subsets: the entry for a bitmask is the
+    entry without its highest bit times that coordinate's forms, so the
+    forms are multiplied in ascending coordinate order.  Every exponent
+    pattern has even weight, so the entries of odd weight that hold the
+    last coordinate are never read and are left as None.  Each distinct
     root's difference z - root is taken once per sample and shared by every
     equation holding that root.
 
@@ -702,8 +723,11 @@ def sampled_identity_errors(params: ReducibleParams, equations, samples) -> list
     """
     prec, rnd = mp.prec, round_nearest
     one, unit = from_int(1), mpc(1)._mpc_
-    groups = [[(const._mpc_, coeff._mpc_) for const, coeff in group]
-              for group in _coordinate_forms(params)]
+    *groups, last = [[(const._mpc_, coeff._mpc_) for const, coeff in group]
+                     for group in _coordinate_forms(params)]
+    (last_const, last_coeff), = last
+    # the lower entries of odd weight, the ones the last coordinate joins
+    odd = [bool(lower.bit_count() & 1) for lower in range(1 << len(groups))]
     distinct: dict = {}
     plan = []
     for eq in equations:
@@ -723,6 +747,9 @@ def sampled_identity_errors(params: ReducibleParams, equations, samples) -> list
                 for value in values:
                     raw = mpc_mul(raw, value, prec, rnd)
                 table.append(raw)
+        value = mpc_add(last_const, mpc_mul(last_coeff, z, prec, rnd), prec, rnd)
+        table.extend([mpc_mul(raw, value, prec, rnd) if joins else None
+                      for raw, joins in zip(table, odd)])
         differences = [mpc_sub(z, root, prec, rnd) for root in roots]
         for k, (mask, expanded, indices) in enumerate(plan):
             for i in indices:

@@ -10,20 +10,22 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from mpmath import mpc
+from mpmath import mp, mpc
+from mpmath.libmp import fone, fzero, mpc_div, mpc_mpf_div, mpc_sub, mpc_sub_mpf, round_nearest
 
 # cross_ratio_lambda is re-exported: it is the Legendre parameter t of four
 # branch points normalized to (inf, 0, 1, t), which the constructions'
-# oracles compare via same_curve.
+# oracles compare via OrbitTable.same_curve.
 from .numerics import (  # noqa: F401
     DomainError,
     MobiusMap,
     NotInvolution,
     close,
     cross_ratio_lambda,
-    first_close,
     first_collision,
+    first_near,
     format_point,
+    near_entry,
     near_table,
     points_equal,
     to_complex,
@@ -41,10 +43,18 @@ _ZERO_ONE = near_table([0, 1])
 def require_admissible(value, name: str = "lambda") -> mpc:
     """Check membership in the base domain (finite, away from 0 and 1)."""
     lam = to_complex(value)
-    if first_close(lam, _ZERO_ONE) is not None:
-        raise InvalidDomain("%s = %s is not admissible (too close to 0 or 1)"
-                            % (name, format_point(lam)))
+    admissible_entry(lam._mpc_, name)
     return lam
+
+
+def admissible_entry(z, name: str = "lambda") -> tuple:
+    """require_admissible for a finite raw ``_mpc_`` tuple z; returns its
+    near_entry, so the double copy serves later orbit scans too."""
+    entry = near_entry(z)
+    if first_near(entry, _ZERO_ONE) is not None:
+        raise InvalidDomain("%s = %s is not admissible (too close to 0 or 1)"
+                            % (name, format_point(mp.make_mpc(z))))
+    return entry
 
 
 def require_admissible_tuple(values, name: str = "lambda") -> list[mpc]:
@@ -58,16 +68,61 @@ def require_admissible_tuple(values, name: str = "lambda") -> list[mpc]:
     return out
 
 
+_ONE = (fone, fzero)
+
+
+def orbit_images(t) -> list:
+    """t, 1/t, 1 - t, 1/(1 - t), t/(t - 1), (t - 1)/t for a raw ``_mpc_``
+    tuple t, with the libmp operations, operands and rounding that the mpc
+    operators apply to these expressions (the integer 1 is converted to the
+    mpf 1)."""
+    prec, rnd = mp.prec, round_nearest
+    one_minus = mpc_sub(_ONE, t, prec, rnd)
+    minus_one = mpc_sub_mpf(t, fone, prec, rnd)
+    return [t, mpc_mpf_div(fone, t, prec, rnd), one_minus,
+            mpc_mpf_div(fone, one_minus, prec, rnd), mpc_div(t, minus_one, prec, rnd),
+            mpc_div(minus_one, t, prec, rnd)]
+
+
+def _orbit_entries(t) -> list:
+    """The near_entry of each distinct orbit image of the raw tuple t, in
+    orbit_images order; an image close to an earlier kept one is dropped."""
+    kept: list = []
+    for entry in map(near_entry, orbit_images(t)):
+        if first_near(entry, kept) is None:
+            kept.append(entry)
+    return kept
+
+
 def s3_orbit(value) -> list[mpc]:
     """The distinct images of t under the group generated by t -> 1/t and
     t -> 1 - t, in closed form (2, 3 or 6 values)."""
     t = require_admissible(value)
-    images = (t, 1 / t, 1 - t, 1 / (1 - t), t / (t - 1), (t - 1) / t)
-    kept: list = []
-    for image, entry in zip(images, near_table(images)):
-        if first_close(image, kept) is None:
-            kept.append(entry)
-    return [image for _, _, image in kept]
+    return [mp.make_mpc(image) for _, _, image in _orbit_entries(t._mpc_)]
+
+
+class OrbitTable:
+    """The S3 orbits of parameters, each built once (as near_entry tuples)
+    and looked up by the parameter's value.  Orbits depend on the working
+    precision and tolerance, so one table serves one command."""
+
+    def __init__(self):
+        self._orbits: dict = {}
+
+    def orbit(self, value) -> list:
+        """The near_entry tuples of s3_orbit(value), which raises the same
+        errors."""
+        t = to_complex(value)
+        entries = self._orbits.get(t._mpc_)
+        if entries is None:
+            admissible_entry(t._mpc_)
+            entries = self._orbits[t._mpc_] = _orbit_entries(t._mpc_)
+        return entries
+
+    def same_curve(self, l1, l2) -> bool:
+        """same_curve(l1, l2), with the orbit of l1 from this table."""
+        entry = admissible_entry(to_complex(l2)._mpc_)
+        return first_near(entry, self.orbit(l1)) is not None
 
 
 def j_invariant(value) -> mpc:

@@ -15,6 +15,19 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from mpmath import isfinite, mp, mpc, mpf, nstr, sqrt
+from mpmath.libmp import (
+    fzero,
+    mpc_abs,
+    mpc_add,
+    mpc_div,
+    mpc_mul,
+    mpc_neg,
+    mpc_pos,
+    mpc_sub,
+    mpc_to_complex,
+    mpf_le,
+    round_nearest,
+)
 
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_EPSILON = "1e-9"
@@ -142,10 +155,11 @@ _NEAR_ABS = 2.0 ** -1000
 _NEAR_LIMIT = 2.0 ** 1000
 
 
-def _near_entry(z: mpc) -> tuple:
-    """(double copy, 2^-40 times its modulus, z); a copy with a part not
-    below 2^1000 in size, inf or nan included, gets the reach inf."""
-    d = complex(z)
+def near_entry(z) -> tuple:
+    """(double copy, 2^-40 times its modulus, z) for a raw ``_mpc_`` tuple z;
+    a copy with a part not below 2^1000 in size, inf or nan included, gets
+    the reach inf."""
+    d = mpc_to_complex(z, False, round_nearest)
     if abs(d.real) < _NEAR_LIMIT and abs(d.imag) < _NEAR_LIMIT:
         return d, _NEAR_REL * abs(d), z
     return 0j, math.inf, z
@@ -154,7 +168,7 @@ def _near_entry(z: mpc) -> tuple:
 def near_table(values) -> list:
     """The values, in order, as a table for first_close; each value is
     coerced as close coerces it and converted to a double once."""
-    return [_near_entry(v if type(v) is mpc else mpc(v)) for v in values]
+    return [near_entry((v if type(v) is mpc else mpc(v))._mpc_) for v in values]
 
 
 def first_close(x, table):
@@ -164,26 +178,63 @@ def first_close(x, table):
     With x~, v~ the double copies and eps~ the tolerance as a double, an
     entry is skipped without calling close only when, in double arithmetic,
 
-        |x~ - v~| > eps~ + 2^-40 (eps~ + |x~| + |v~|) + 2^-1000.
+        |x~ - v~| > eps~ + 2^-40 (eps~ + |x~| + |v~|) + 2^-1000,
+
+    and accepted without calling close only when
+
+        |x~ - v~| < eps~ - 2^-40 (eps~ + |x~| + |v~|) - 2^-1000.
 
     A conversion moves each part by at most one unit in the last place
-    (2^-52 of its size, or 2^-1074 below the normal range), and the few
-    double operations add a few more units; the 2^-40 and 2^-1000 terms
+    (2^-52 of its size, or 2^-1074 below the normal range), the few double
+    operations add a few more units, and close's own subtraction and
+    modulus round by a relative 2^-53 at most; the 2^-40 and 2^-1000 terms
     exceed that sum, so a skipped value lies farther than the tolerance
-    from x.  Parts below 2^1000 keep every double finite.  Every entry not
-    skipped is decided by close; so is every entry when a copy has a part
-    not below 2^1000 or the tolerance does not fit a double (its reach is
-    then inf).
+    from x and an accepted one nearer.  Parts below 2^1000 keep every
+    double finite.  Every other entry is decided by close, on the raw
+    tuples; so is every entry when a copy has a part not below 2^1000 or
+    the tolerance does not fit a double (its reach is then inf).
     """
     if type(x) is not mpc:
         x = mpc(x)
-    xd, reach, _ = _near_entry(x)
+    return first_near(near_entry(x._mpc_), table)
+
+
+def first_near(entry, table):
+    """first_close for a value already in near_entry form."""
+    xd, reach, x = entry
     eps = float(_epsilon)
-    base = eps + _NEAR_REL * eps + reach + _NEAR_ABS
+    slack = _NEAR_REL * eps + reach + _NEAR_ABS
+    outer, inner = eps + slack, eps - slack
     for k, (vd, v_reach, v) in enumerate(table):
-        if abs(xd - vd) <= base + v_reach and close(x, v):
+        gap = abs(xd - vd)
+        if gap <= outer + v_reach and (gap < inner - v_reach or _close_raw(x, v)):
             return k
     return None
+
+
+def _close_raw(x, v) -> bool:
+    """close(mpc x, mpc v) on raw tuples: the same subtraction, modulus and
+    comparison."""
+    prec = mp.prec
+    return mpf_le(mpc_abs(mpc_sub(x, v, prec, round_nearest), prec, round_nearest),
+                  _epsilon._mpf_)
+
+
+def within_epsilon(z) -> bool:
+    """abs(z) <= epsilon for a raw ``_mpc_`` tuple z, with mpc abs's answer.
+
+    This is first_close's test against the single value 0: decided from
+    the double copy of z outside the slack stated there, and by the modulus
+    at the working precision inside it."""
+    d, reach, _ = near_entry(z)
+    size = abs(d)
+    eps = float(_epsilon)
+    slack = _NEAR_REL * eps + reach + _NEAR_ABS
+    if size > eps + slack:
+        return False
+    if size < eps - slack:
+        return True
+    return mpf_le(mpc_abs(z, mp.prec, round_nearest), _epsilon._mpf_)
 
 
 def points_equal(p, q) -> bool:
@@ -417,41 +468,78 @@ def _require_distinct(points) -> None:
                               % (format_point(pts[pair[0]]), format_point(pts[pair[1]])))
 
 
-_ZERO = mpc(0)
-_ONE = mpc(1)
-
-
 def cross_ratio_lambda(p1, p2, p3, p4) -> mpc:
     """The value t with some Mobius map sending (p1, p2, p3, p4) to (inf, 0, 1, t).
 
     The four points must be pairwise distinct, so the result is finite and
-    avoids 0 and 1.  The map z -> (a z + b) / (c z + d) sending (p1, p2, p3)
-    to (inf, 0, 1) is applied to p4 with the singular-map check of MobiusMap
-    and the pole rule of MobiusMap.apply, without building the map.
+    avoids 0 and 1.  After the collision check this is cross_ratio_unchecked.
     """
-    _require_distinct([p1, p2, p3, p4])
+    points = [p1, p2, p3, p4]
+    _require_distinct(points)
+    return mp.make_mpc(cross_ratio_unchecked(
+        *[p if is_infinity(p) else to_complex(p) for p in points]))
+
+
+_ZERO = (fzero, fzero)
+_ONE = mpc(1)._mpc_
+
+
+def cross_ratio_unchecked(p1, p2, p3, p4) -> tuple:
+    """The raw ``_mpc_`` tuple of cross_ratio_lambda for points already known
+    to be pairwise distinct: INFINITY or finite mpc.
+
+    The map z -> (a z + b) / (c z + d) sending (p1, p2, p3) to (inf, 0, 1)
+    is applied to p4 with the singular-map check of MobiusMap and the pole
+    rule of MobiusMap.apply, without building the map.  The libmp
+    operations, operands, order and rounding are those of the mpc operators
+    on a, b, c, d, except that a product with the exact constant 1 is z
+    rounded (mpc_pos) and one with 0 is 0, which are the bits the
+    multiplication gives.  Both |x| <= epsilon tests go through
+    within_epsilon.
+    """
+    prec, rnd = mp.prec, round_nearest
     if is_infinity(p1):
-        z2, z3 = to_complex(p2), to_complex(p3)
-        a, b, c, d = _ONE, -z2, _ZERO, z3 - z2
+        z2, z3 = p2._mpc_, p3._mpc_
+        b, d = mpc_neg(z2, prec, rnd), mpc_sub(z3, z2, prec, rnd)
+        det = d                                   # 1 d - b 0
+        if is_infinity(p4):
+            num, den = _ONE, _ZERO
+        else:
+            num, den = mpc_add(mpc_pos(p4._mpc_, prec, rnd), b, prec, rnd), d
     elif is_infinity(p2):
-        z1, z3 = to_complex(p1), to_complex(p3)
-        a, b, c, d = _ZERO, z3 - z1, _ONE, -z1
+        z1, z3 = p1._mpc_, p3._mpc_
+        b, d = mpc_sub(z3, z1, prec, rnd), mpc_neg(z1, prec, rnd)
+        det = mpc_neg(b, prec, rnd)               # 0 d - b 1
+        if is_infinity(p4):
+            num, den = _ZERO, _ONE
+        else:
+            num, den = b, mpc_add(mpc_pos(p4._mpc_, prec, rnd), d, prec, rnd)
     elif is_infinity(p3):
-        z1, z2 = to_complex(p1), to_complex(p2)
-        a, b, c, d = _ONE, -z2, _ONE, -z1
+        z1, z2 = p1._mpc_, p2._mpc_
+        b, d = mpc_neg(z2, prec, rnd), mpc_neg(z1, prec, rnd)
+        det = mpc_sub(d, b, prec, rnd)            # 1 d - b 1
+        if is_infinity(p4):
+            num, den = _ONE, _ONE
+        else:
+            z = mpc_pos(p4._mpc_, prec, rnd)
+            num, den = mpc_add(z, b, prec, rnd), mpc_add(z, d, prec, rnd)
     else:
-        z1, z2, z3 = to_complex(p1), to_complex(p2), to_complex(p3)
-        a, b, c, d = z3 - z1, -z2 * (z3 - z1), z3 - z2, -z1 * (z3 - z2)
-    if abs(a * d - b * c) <= _epsilon:
+        z1, z2, z3 = p1._mpc_, p2._mpc_, p3._mpc_
+        a, c = mpc_sub(z3, z1, prec, rnd), mpc_sub(z3, z2, prec, rnd)
+        b = mpc_mul(mpc_neg(z2, prec, rnd), a, prec, rnd)
+        d = mpc_mul(mpc_neg(z1, prec, rnd), c, prec, rnd)
+        det = mpc_sub(mpc_mul(a, d, prec, rnd), mpc_mul(b, c, prec, rnd), prec, rnd)
+        if is_infinity(p4):
+            num, den = a, c
+        else:
+            z = p4._mpc_
+            num = mpc_add(mpc_mul(a, z, prec, rnd), b, prec, rnd)
+            den = mpc_add(mpc_mul(c, z, prec, rnd), d, prec, rnd)
+    if within_epsilon(det):
         raise ValueError("Mobius map is singular: |ad - bc| <= epsilon")
-    if is_infinity(p4):
-        num, den = a, c
-    else:
-        z = to_complex(p4)
-        num, den = a * z + b, c * z + d
-    if abs(den) <= _epsilon:
+    if within_epsilon(den):
         raise CollidingPoints("fourth point collides with the first within tolerance")
-    return num / den
+    return mpc_div(num, den, prec, rnd)
 
 
 def solve_quadratic(a, b, c) -> tuple[mpc, mpc]:

@@ -236,6 +236,18 @@ def test_verify_identities_below_three_exits_2(capsys):
         assert err == "error: identities are stated for --max >= 3, got %s\n" % value
 
 
+def test_crosscheck_s_above_the_cap_exits_2(capsys, monkeypatch):
+    # refused before any table of 2^s entries is built
+    monkeypatch.setattr(constructions, "derive_equations_reducible", None)
+    for value in ("17", "64"):
+        status, out, err = run_cli(capsys, "verify", "crosscheck", "--s", value,
+                                   "--format", "json")
+        assert status == 2
+        assert out == ""
+        assert err == ("error: crosscheck is capped at s <= 16 (its tables hold 2^s "
+                       "entries), got %s\n" % value)
+
+
 def test_infinite_epsilon_exits_2(capsys):
     for value in ("inf", "nan"):
         status, out, err = run_cli(capsys, "construct", "irreducible", "--lambdas", "2,3,4",

@@ -4,6 +4,7 @@ import pytest
 from mpmath import mp, mpc, mpf, sqrt
 
 from jacdecomp import constructions as cons
+from jacdecomp import legendre, numerics
 from jacdecomp.constructions import (
     ConstraintViolated,
     DegenerateParameter,
@@ -25,7 +26,7 @@ from jacdecomp.constructions import (
     solve_mu_genus3,
 )
 from jacdecomp.cover import component_count, component_genus, decompose, total_genus
-from jacdecomp.legendre import InvalidDomain, same_curve
+from jacdecomp.legendre import InvalidDomain, OrbitTable, same_curve
 from jacdecomp.numerics import (
     INFINITY,
     close,
@@ -229,6 +230,36 @@ def test_equations_match_closed_form_constants():
         for eq in derive_equations_reducible(params):
             want = cons.closed_form_constant(params, eq.alpha)
             assert abs(eq.constant - want) <= 1e-9 * (1 + abs(want))
+
+
+def _closed_form_constant_per_equation(params, alpha):
+    """The published product formula, each factor rebuilt per equation."""
+    s = params.s
+    pivot = params.mu[s - 3][1]
+    value = mpc(1)
+    if alpha[0]:
+        value *= -pivot
+    if alpha[1]:
+        value *= (pivot - 1) * (pivot - params.lam)
+    for k in range(1, s - 2):
+        if alpha[k + 1]:
+            a, b = params.mu[k - 1]
+            value *= (pivot - a) * (pivot - b)
+    if alpha[s - 1]:
+        value *= pivot - params.mu[s - 3][0]
+    return value
+
+
+def test_closed_form_constants_are_the_per_equation_products():
+    rng = random.Random(61)
+    for s in (3, 4, 5, 6, 7):
+        draw = [v / 3 for v in random_admissible(rng, 2 * s - 3)]
+        params = ReducibleParams(draw[0], tuple(
+            (draw[1 + 2 * k], draw[2 + 2 * k]) for k in range(s - 2)))
+        alphas = [eq.alpha for eq in derive_equations_reducible(params)]
+        got = cons.closed_form_constants(params, alphas)
+        assert [v._mpc_ for v in got] == [
+            _closed_form_constant_per_equation(params, alpha)._mpc_ for alpha in alphas]
 
 
 def test_equations_agree_with_quotient_branch_sets():
@@ -489,10 +520,10 @@ def _failing_oracle(monkeypatch, failing_target):
     list of targets it is asked about, in call order."""
     calls = []
 
-    def fake(target, value):
+    def fake(table, target, value):
         calls.append(target)
         return not close(target, failing_target)
-    monkeypatch.setattr(cons, "same_curve", fake)
+    monkeypatch.setattr(OrbitTable, "same_curve", fake)
     return calls
 
 
@@ -527,6 +558,30 @@ def test_chain_oracle_failure_text(monkeypatch, failing, text):
     assert str(info.value) == "pair 2: no root passes the checks: %s; %s" % (text, text)
     # pair 1 passes both oracles; pair 2 stops each root at its first failure
     assert calls == [3, 5] + ([4, 4] if failing == 4 else [4, 6, 4, 6])
+
+
+@pytest.mark.parametrize("candidates", [[2, 3, 5, 7], [mpc(2, 1), mpc(-3, 0.5), 7, 0.25]])
+def test_tag_factors_repeats_no_collision_check(monkeypatch, candidates):
+    # the model has checked its branch points; tagging must not check again
+    report = decompose(build_irreducible(candidates))
+    want = cons.tag_factors(report, candidates)
+
+    def refuse(points):
+        raise AssertionError("collision check repeated during tagging")
+    monkeypatch.setattr(numerics, "first_collision", refuse)
+    assert cons.tag_factors(report, candidates) == want
+
+
+def test_chain_solver_and_tagging_build_each_orbit_once(monkeypatch):
+    from jacdecomp import cli
+
+    built = []
+    build = legendre._orbit_entries
+    monkeypatch.setattr(legendre, "_orbit_entries", lambda t: built.append(t) or build(t))
+    assert cli.main(["decompose", "reducible", "--chain", "2,3,4,5,6,7,8",
+                     "--format", "json"]) == 0
+    # the solver certifies with the orbits of all targets but the first
+    assert len(built) == len(set(built)) == 7
 
 
 def test_chain_even_case_realizes_bound():

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
-from jacdecomp import cli, constructions, numerics
+from jacdecomp import cli, constructions, legendre, numerics
 from jacdecomp.constructions import factor_lambda_invariant
 from jacdecomp.cover import (
     _echelon,
@@ -204,15 +204,32 @@ def test_orbit_tags_match_first_candidate_scan(argv):
     candidates = built["candidates"]
     want = _reference_tags(report, candidates)
     orbits = []
+    build = legendre._orbit_entries
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(constructions, "s3_orbit",
-                      lambda value: orbits.append(value) or s3_orbit(value))
+        patch.setattr(legendre, "_orbit_entries",
+                      lambda t: orbits.append(t) or build(t))
         tags = constructions.tag_factors(report, candidates)
     assert len(orbits) == len(candidates)
     assert tags == want
     payload, _ = cli.cmd_decompose(args)
     assert [f["orbit_of"] for f in payload["factors"]] == [
         None if tag is None else format_point(tag) for tag in want]
+
+
+def _standard_coefficients(p1, p2, p3):
+    """(a, b, c, d) of the map z -> (a z + b) / (c z + d) sending (p1, p2,
+    p3) to (inf, 0, 1), written with mpc operators."""
+    if is_infinity(p1):
+        z2, z3 = to_complex(p2), to_complex(p3)
+        return mpc(1), -z2, mpc(0), z3 - z2
+    if is_infinity(p2):
+        z1, z3 = to_complex(p1), to_complex(p3)
+        return mpc(0), z3 - z1, mpc(1), -z1
+    if is_infinity(p3):
+        z1, z2 = to_complex(p1), to_complex(p2)
+        return mpc(1), -z2, mpc(1), -z1
+    z1, z2, z3 = to_complex(p1), to_complex(p2), to_complex(p3)
+    return z3 - z1, -z2 * (z3 - z1), z3 - z2, -z1 * (z3 - z2)
 
 
 def _reference_cross_ratio(p1, p2, p3, p4):
@@ -222,22 +239,23 @@ def _reference_cross_ratio(p1, p2, p3, p4):
     the pole rule."""
     numerics._require_distinct([p1, p2, p3, p4])
     numerics._require_distinct([p1, p2, p3])
-    if is_infinity(p1):
-        z2, z3 = to_complex(p2), to_complex(p3)
-        m = MobiusMap(1, -z2, 0, z3 - z2)
-    elif is_infinity(p2):
-        z1, z3 = to_complex(p1), to_complex(p3)
-        m = MobiusMap(0, z3 - z1, 1, -z1)
-    elif is_infinity(p3):
-        z1, z2 = to_complex(p1), to_complex(p2)
-        m = MobiusMap(1, -z2, 1, -z1)
-    else:
-        z1, z2, z3 = to_complex(p1), to_complex(p2), to_complex(p3)
-        m = MobiusMap(z3 - z1, -z2 * (z3 - z1), z3 - z2, -z1 * (z3 - z2))
-    value = m.apply(p4)
+    value = MobiusMap(*_standard_coefficients(p1, p2, p3)).apply(p4)
     if is_infinity(value):
         raise CollidingPoints("fourth point collides with the first within tolerance")
     return value
+
+
+def _tested_modulus(points, test):
+    """|ad - bc| ("det") or the pole test's |c p4 + d| ("den")."""
+    a, b, c, d = _standard_coefficients(*points[:3])
+    if test == "det":
+        return abs(a * d - b * c)
+    p4 = points[3]
+    return abs(c if is_infinity(p4) else c * to_complex(p4) + d)
+
+
+def _unchecked_cross_ratio(*points):
+    return mp.make_mpc(numerics.cross_ratio_unchecked(*points))
 
 
 def _outcome(function, points):
@@ -267,11 +285,15 @@ def cross_ratio_inputs(draw):
             draw(st.lists(_MEMBERS, min_size=4, max_size=4)))
 
 
-@settings(max_examples=400, deadline=None)
-@given(cross_ratio_inputs())
-def test_cross_ratio_lambda_is_the_standard_map_applied(inputs):
+@settings(max_examples=600, deadline=None)
+@given(cross_ratio_inputs(), st.sampled_from([None, "det", "den"]), st.integers(-3, 3))
+def test_cross_ratio_lambda_is_the_standard_map_applied(inputs, near, ulps):
+    """cross_ratio_lambda against its composition, and on pairwise-distinct
+    points its unchecked kernel too.  With ``near`` set, epsilon is moved to
+    within ``ulps`` units in the last place of the singular-map or the pole
+    test's modulus, so the kernel's double decision must defer there."""
     bits, inf_at, centers, members = inputs
-    saved = mp.prec
+    saved = mp.prec, epsilon()
     mp.prec = bits
     try:
         # divided by 3 so the mantissas are full at the working precision
@@ -280,10 +302,73 @@ def test_cross_ratio_lambda_is_the_standard_map_applied(inputs):
                   for index, step, direction in members]
         if inf_at is not None:
             points[inf_at] = INFINITY
-        assert _outcome(cross_ratio_lambda, points) == \
-            _outcome(_reference_cross_ratio, points)
+        if near is not None:
+            size = _tested_modulus(points, near)
+            assume(0 < size < mpf("0.5"))
+            numerics.set_epsilon(size * (1 + ulps * mpf(2) ** (1 - bits)))
+        want = _outcome(_reference_cross_ratio, points)
+        assert _outcome(cross_ratio_lambda, points) == want
+        if first_collision(points) is None:
+            assert _outcome(_unchecked_cross_ratio, points) == want
+    finally:
+        mp.prec = saved[0]
+        numerics.set_epsilon(saved[1])
+
+
+# a parameter: (real, imaginary, decimal exponent) as for the cluster centers
+_PARAMETERS = st.tuples(st.floats(-10, 10), st.floats(-10, 10),
+                        st.one_of(st.integers(-3, 3), st.integers(-300, 300)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([53, 128, 256]), _PARAMETERS, st.booleans())
+def test_orbit_images_are_the_mpc_expressions(bits, parameter, real):
+    saved = mp.prec
+    mp.prec = bits
+    try:
+        re, im, k = parameter
+        t = mpc(re, 0 if real else im) * mpf(10) ** k / 3
+        assume(t != 0 and t != 1)
+        want = [t, 1 / t, 1 - t, 1 / (1 - t), t / (t - 1), (t - 1) / t]
+        assert legendre.orbit_images(t._mpc_) == [w._mpc_ for w in want]
     finally:
         mp.prec = saved
+
+
+def _answer(function, *args):
+    try:
+        return function(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# offsets of a query from an orbit image, in units of epsilon
+_ORBIT_STEPS = st.sampled_from([0, 0.5, 1 - 1e-6, 1 + 1e-6, 2, 1e6])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_PARAMETERS, min_size=1, max_size=3),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 5), _ORBIT_STEPS,
+                          _DIRECTIONS, st.integers(0, 2)), min_size=1, max_size=8))
+def test_orbit_table_answers_same_curve(parameters, queries):
+    """One table answers a run of queries as same_curve does: near-orbit
+    hits and misses, and inadmissible values on either side (0 and 1 are
+    among the parameters' neighbours)."""
+    values = [mpc(re, im) * mpf(10) ** k / 3 for re, im, k in parameters]
+    values += [mpc(0), mpc(1)]
+    table = legendre.OrbitTable()
+    for owner, image, step, direction, other in queries:
+        l1 = values[owner % len(values)]
+        try:
+            images = [l1, 1 / l1, 1 - l1, 1 / (1 - l1), l1 / (l1 - 1), (l1 - 1) / l1]
+        except ZeroDivisionError:
+            images = [l1]
+        l2 = images[image % len(images)] + step * epsilon() * mpc(direction)
+        if other == 1:
+            l1, l2 = l2, l1
+        elif other == 2:
+            l2 = values[(owner + 1) % len(values)]
+        assert _answer(table.same_curve, l1, l2) == _answer(same_curve, l1, l2)
 
 
 # a sample point: (kind, real numerator, imaginary numerator, denominator);
