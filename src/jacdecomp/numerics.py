@@ -220,21 +220,15 @@ def _close_raw(x, v) -> bool:
                   _epsilon._mpf_)
 
 
-def within_epsilon(z) -> bool:
-    """abs(z) <= epsilon for a raw ``_mpc_`` tuple z, with mpc abs's answer.
+_ZERO_TABLE = [near_entry((fzero, fzero))]
 
-    This is first_close's test against the single value 0: decided from
-    the double copy of z outside the slack stated there, and by the modulus
-    at the working precision inside it."""
-    d, reach, _ = near_entry(z)
-    size = abs(d)
-    eps = float(_epsilon)
-    slack = _NEAR_REL * eps + reach + _NEAR_ABS
-    if size > eps + slack:
-        return False
-    if size < eps - slack:
-        return True
-    return mpf_le(mpc_abs(z, mp.prec, round_nearest), _epsilon._mpf_)
+
+def within_epsilon(z) -> bool:
+    """abs(z) <= epsilon for a raw ``_mpc_`` tuple z rounded to the working
+    precision, with mpc abs's answer: first_near against the single value 0,
+    so decided from the double copy of z outside the slack stated in
+    first_close and by the modulus at the working precision inside it."""
+    return first_near(near_entry(z), _ZERO_TABLE) is not None
 
 
 def points_equal(p, q) -> bool:

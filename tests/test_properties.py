@@ -25,7 +25,7 @@ from jacdecomp.cover import (
     quotient_genus,
     total_genus,
 )
-from jacdecomp.legendre import random_admissible, s3_orbit, same_curve
+from jacdecomp.legendre import random_admissible, same_curve
 from jacdecomp.numerics import (
     INFINITY,
     CollidingPoints,
