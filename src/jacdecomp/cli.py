@@ -227,6 +227,9 @@ def cmd_verify(args) -> tuple[dict, int]:
     if args.verification == "identities":
         if args.max < 3:
             raise cons.OutOfRange("identities are stated for --max >= 3, got %d" % args.max)
+        if args.max > IDENTITIES_MAX:
+            raise cons.OutOfRange("identities are capped at --max <= %d, got %d"
+                                  % (IDENTITIES_MAX, args.max))
         for s in range(3, args.max + 1):
             lhs, rhs = cover.reducible_genus_sum_identity(s)
             checks["reducible_s%d" % s] = {"pass": lhs == rhs, "lhs": lhs, "rhs": rhs}
@@ -268,6 +271,8 @@ def cmd_verify(args) -> tuple[dict, int]:
             "count": report.elliptic_count,
         }
     elif args.verification == "bound":
+        if args.r > BOUND_MAX_R:
+            raise cons.OutOfRange("bound is capped at r <= %d, got %d" % (BOUND_MAX_R, args.r))
         value = cons.genus_upper_bound(args.r)
         s = (args.r + 4) // 2 if args.r % 2 == 0 else (args.r + 3) // 2
         via_chain = 1 + (1 << (s - 2)) * (s - 2)
@@ -285,6 +290,12 @@ def cmd_verify(args) -> tuple[dict, int]:
 # Largest `verify crosscheck --s`: the derived system and the sampled table
 # hold 2^s entries each, so the time doubles with every step of s.
 CROSSCHECK_MAX_S = 16
+# Largest `verify identities --max`: the time grows faster than max^3
+# (about 11 s at 1000).
+IDENTITIES_MAX = 256
+# Largest `verify bound --r`: the bound has about 0.15 r decimal digits, and
+# from r = 28542 on it exceeds Python's int-to-str limit when rendered.
+BOUND_MAX_R = 1024
 
 
 def _crosscheck(s: int, seed: int) -> dict:

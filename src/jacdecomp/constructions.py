@@ -39,16 +39,17 @@ from .legendre import (
 )
 from .numerics import (
     INFINITY,
+    _ONE,
     DomainError,
     MobiusMap,
     close,
     cross_ratio_unchecked,
-    epsilon,
     first_collision,
     first_near,
     format_point,
     solve_quadratic,
     to_complex,
+    within_epsilon,
 )
 
 
@@ -274,7 +275,7 @@ def derive_equations_reducible(params: ReducibleParams) -> list[CurveEquation]:
     groups = _coordinate_forms(params)
     for group in groups:
         for _, coeff in group:
-            if abs(coeff) <= epsilon():
+            if within_epsilon(coeff._mpc_):
                 raise DegenerateParameter("vanishing linear-form coefficient")
     constants, roots = [mpc(1)], [()]
     for group in groups:
@@ -525,7 +526,7 @@ def check_genus13_family(l1, l2) -> Genus13Report:
     l4 = l1 * (l2 - 1) / (l2 - l1)
     values = require_admissible_tuple([l1, l2, l3, l4])
     residual = l2 * l2 * (1 + l1) - 4 * l1 * l2 + l1 * (1 + l1)
-    if abs(residual) > epsilon():
+    if not within_epsilon(residual._mpc_):
         raise ConstraintViolated(
             "constraint residual %s exceeds tolerance" % format_point(residual),
             residual)
@@ -722,7 +723,7 @@ def sampled_identity_errors(params: ReducibleParams, equations, samples) -> list
     is bit for bit ``float(abs(eq.evaluate(z) - raw) / (1 + abs(raw)))``.
     """
     prec, rnd = mp.prec, round_nearest
-    one, unit = from_int(1), mpc(1)._mpc_
+    one = from_int(1)
     *groups, last = [[(const._mpc_, coeff._mpc_) for const, coeff in group]
                      for group in _coordinate_forms(params)]
     (last_const, last_coeff), = last
@@ -738,7 +739,7 @@ def sampled_identity_errors(params: ReducibleParams, equations, samples) -> list
     errors = [0.0] * len(equations)
     for z in samples:
         z = to_complex(z)._mpc_
-        table = [unit]
+        table = [_ONE]
         for group in groups:
             values = [mpc_add(const, mpc_mul(coeff, z, prec, rnd), prec, rnd)
                       for const, coeff in group]

@@ -11,12 +11,13 @@ import random
 from dataclasses import dataclass, field
 
 from mpmath import mp, mpc
-from mpmath.libmp import fone, fzero, mpc_div, mpc_mpf_div, mpc_sub, mpc_sub_mpf, round_nearest
+from mpmath.libmp import fone, mpc_div, mpc_mpf_div, mpc_sub, mpc_sub_mpf, round_nearest
 
 # cross_ratio_lambda is re-exported: it is the Legendre parameter t of four
 # branch points normalized to (inf, 0, 1, t), which the constructions'
 # oracles compare via OrbitTable.same_curve.
 from .numerics import (  # noqa: F401
+    _ONE,
     DomainError,
     MobiusMap,
     NotInvolution,
@@ -66,9 +67,6 @@ def require_admissible_tuple(values, name: str = "lambda") -> list[mpc]:
         raise InvalidDomain("%s_%d and %s_%d coincide within tolerance (%s)"
                             % (name, i + 1, name, j + 1, format_point(out[i])))
     return out
-
-
-_ONE = (fone, fzero)
 
 
 def orbit_images(t) -> list:

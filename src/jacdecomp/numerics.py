@@ -12,12 +12,11 @@ import math
 import os
 import re
 from dataclasses import dataclass
-from itertools import combinations
 
 from mpmath import isfinite, mp, mpc, mpf, nstr, sqrt
 from mpmath.libmp import (
+    fone,
     fzero,
-    mpc_abs,
     mpc_add,
     mpc_div,
     mpc_mul,
@@ -25,7 +24,6 @@ from mpmath.libmp import (
     mpc_pos,
     mpc_sub,
     mpc_to_complex,
-    mpf_le,
     round_nearest,
 )
 
@@ -149,7 +147,7 @@ def close(a, b) -> bool:
     return abs(a - b) <= _epsilon
 
 
-# Slack of the double prefilter in first_close (see its docstring).
+# Slack of the double prefilter in first_near (see its docstring).
 _NEAR_REL = 2.0 ** -40
 _NEAR_ABS = 2.0 ** -1000
 _NEAR_LIMIT = 2.0 ** 1000
@@ -166,14 +164,30 @@ def near_entry(z) -> tuple:
 
 
 def near_table(values) -> list:
-    """The values, in order, as a table for first_close; each value is
+    """The values, in order, as a table for first_near; each value is
     coerced as close coerces it and converted to a double once."""
     return [near_entry((v if type(v) is mpc else mpc(v))._mpc_) for v in values]
 
 
 def first_close(x, table):
     """Index of the first value in a near_table that close accepts with x,
-    or None: the answer of a linear close scan.
+    or None: the answer of a linear close scan (first_near on x)."""
+    if type(x) is not mpc:
+        x = mpc(x)
+    return first_near(near_entry(x._mpc_), table)
+
+
+def _near_bounds(reach):
+    """first_near's skip and accept bounds on the double gap to an entry of
+    reach 0, for a value of the given reach."""
+    eps = float(_epsilon)
+    slack = _NEAR_REL * eps + reach + _NEAR_ABS
+    return eps + slack, eps - slack
+
+
+def first_near(entry, table):
+    """first_close for a value already in near_entry form: the double
+    prefilter of close.
 
     With x~, v~ the double copies and eps~ the tolerance as a double, an
     entry is skipped without calling close only when, in double arithmetic,
@@ -191,43 +205,29 @@ def first_close(x, table):
     exceed that sum, so a skipped value lies farther than the tolerance
     from x and an accepted one nearer.  Parts below 2^1000 keep every
     double finite.  Every other entry is decided by close, on the raw
-    tuples; so is every entry when a copy has a part not below 2^1000 or
-    the tolerance does not fit a double (its reach is then inf).
+    tuples; so is every entry when a copy has a part not below 2^1000 (its
+    reach is then inf).
     """
-    if type(x) is not mpc:
-        x = mpc(x)
-    return first_near(near_entry(x._mpc_), table)
-
-
-def first_near(entry, table):
-    """first_close for a value already in near_entry form."""
     xd, reach, x = entry
-    eps = float(_epsilon)
-    slack = _NEAR_REL * eps + reach + _NEAR_ABS
-    outer, inner = eps + slack, eps - slack
+    outer, inner = _near_bounds(reach)
     for k, (vd, v_reach, v) in enumerate(table):
         gap = abs(xd - vd)
-        if gap <= outer + v_reach and (gap < inner - v_reach or _close_raw(x, v)):
+        if gap <= outer + v_reach and (
+                gap < inner - v_reach or close(mp.make_mpc(x), mp.make_mpc(v))):
             return k
     return None
 
 
-def _close_raw(x, v) -> bool:
-    """close(mpc x, mpc v) on raw tuples: the same subtraction, modulus and
-    comparison."""
-    prec = mp.prec
-    return mpf_le(mpc_abs(mpc_sub(x, v, prec, round_nearest), prec, round_nearest),
-                  _epsilon._mpf_)
-
-
-_ZERO_TABLE = [near_entry((fzero, fzero))]
+_ZERO = (fzero, fzero)
+_ONE = (fone, fzero)
+_ZERO_TABLE = [near_entry(_ZERO)]
 
 
 def within_epsilon(z) -> bool:
     """abs(z) <= epsilon for a raw ``_mpc_`` tuple z rounded to the working
     precision, with mpc abs's answer: first_near against the single value 0,
-    so decided from the double copy of z outside the slack stated in
-    first_close and by the modulus at the working precision inside it."""
+    so decided from the double copy of z outside the slack stated there and
+    by close inside it."""
     return first_near(near_entry(z), _ZERO_TABLE) is not None
 
 
@@ -239,44 +239,33 @@ def points_equal(p, q) -> bool:
 
 
 def first_collision(points):
-    """The first pair (i, j), i < j, of points equal within tolerance, or None.
+    """The first pair (i, j), i < j, of points equal within tolerance, or None:
+    the answer of a scan of every pair with points_equal in (i, j) order.
 
-    The answer is the one a scan of every pair with points_equal in (i, j)
-    order gives, but only pairs whose real parts, as doubles, lie within
-    twice the tolerance plus rounding slack are tested.  When a real part or
-    the tolerance does not fit a double, every pair is tested.
+    Two infinities always collide.  The finite points are sorted by the real
+    parts of their double copies (near_table) and swept: only pairs whose
+    real parts lie within first_near's skip bound for the largest reach are
+    candidates, and first_near decides each.  A reach of inf makes every
+    pair a candidate.
     """
     pts = list(points)
-    candidates = _collision_candidates(pts)
-    if candidates is None:
-        candidates = combinations(range(len(pts)), 2)
-    for i, j in candidates:
-        if points_equal(pts[i], pts[j]):
-            return i, j
-    return None
-
-
-def _collision_candidates(pts):
-    """Sorted index pairs that may collide (sort and sweep on the real parts),
-    or None when the doubles cannot bound them."""
-    try:
-        finite = sorted((complex(p).real, k) for k, p in enumerate(pts)
-                        if not is_infinity(p))
-    except (TypeError, ValueError, OverflowError):
-        return None
-    top = max((abs(x) for x, _ in finite), default=0.0)
-    window = 2 * float(_epsilon) + top * 2.0 ** -50 + 2.0 ** -1070
-    if not all(math.isfinite(x) for x, _ in finite) or not math.isfinite(window):
-        return None
-    pairs = list(combinations([k for k, p in enumerate(pts) if is_infinity(p)], 2))
-    for a, (x, i) in enumerate(finite):
+    infinite = [k for k, p in enumerate(pts) if is_infinity(p)]
+    finite = [k for k, p in enumerate(pts) if not is_infinity(p)]
+    entries = dict(zip(finite, near_table([pts[k] for k in finite])))
+    top = max((entry[1] for entry in entries.values()), default=0.0)
+    window = _near_bounds(top)[0] + top
+    swept = sorted((entries[k][0].real, k) for k in finite)
+    pairs = [tuple(infinite[:2])] if len(infinite) > 1 else []
+    for a, (x, i) in enumerate(swept):
         b = a + 1
-        while b < len(finite) and finite[b][0] - x <= window:
-            j = finite[b][1]
+        while b < len(swept) and swept[b][0] - x <= window:
+            j = swept[b][1]
             pairs.append((min(i, j), max(i, j)))
             b += 1
-    pairs.sort()
-    return pairs
+    for i, j in sorted(pairs):
+        if is_infinity(pts[i]) or first_near(entries[i], [entries[j]]) is not None:
+            return i, j
+    return None
 
 
 def point_sort_key(p):
@@ -425,18 +414,18 @@ class MobiusMap:
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, to_complex(getattr(self, name)))
-        if abs(self.a * self.d - self.b * self.c) <= _epsilon:
+        if within_epsilon((self.a * self.d - self.b * self.c)._mpc_):
             raise ValueError("Mobius map is singular: |ad - bc| <= epsilon")
 
     def apply(self, p):
         """Evaluate on a sphere point, with projective pole conventions."""
         if is_infinity(p):
-            if abs(self.c) <= _epsilon:
+            if within_epsilon(self.c._mpc_):
                 return INFINITY
             return self.a / self.c
         z = to_complex(p)
         den = self.c * z + self.d
-        if abs(den) <= _epsilon:
+        if within_epsilon(den._mpc_):
             return INFINITY
         return (self.a * z + self.b) / den
 
@@ -472,10 +461,6 @@ def cross_ratio_lambda(p1, p2, p3, p4) -> mpc:
     _require_distinct(points)
     return mp.make_mpc(cross_ratio_unchecked(
         *[p if is_infinity(p) else to_complex(p) for p in points]))
-
-
-_ZERO = (fzero, fzero)
-_ONE = mpc(1)._mpc_
 
 
 def cross_ratio_unchecked(p1, p2, p3, p4) -> tuple:
@@ -543,7 +528,7 @@ def solve_quadratic(a, b, c) -> tuple[mpc, mpc]:
     by descending real part.
     """
     a, b, c = to_complex(a), to_complex(b), to_complex(c)
-    if abs(a) <= _epsilon:
+    if within_epsilon(a._mpc_):
         raise DegenerateLeadingCoefficient("leading coefficient is zero within tolerance")
     disc = b * b - 4 * a * c
     root = sqrt(disc)

@@ -3,10 +3,17 @@ the reference loop of the sampled equation identity."""
 
 import random
 
-from mpmath import mpc
+from mpmath import mpc, mpf
 
 from jacdecomp import constructions, numerics
 from jacdecomp.legendre import random_admissible  # noqa: F401  (shared by the suites)
+
+
+def boundary_values():
+    """Values of modulus epsilon * (1 -/+ 2^-30) in four directions, just
+    inside and just outside the tolerance in force."""
+    return [numerics.epsilon() * (1 + sign * mpf(2) ** -30) * mpc(direction)
+            for sign in (-1, 1) for direction in (1, -1, 1j, mpc(3, 4) / 5)]
 
 
 def random_mobius(rng: random.Random):

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from jacdecomp import cli, constructions
+from jacdecomp import cli, constructions, cover
 
 
 def run_cli(capsys, *argv):
@@ -246,6 +246,31 @@ def test_crosscheck_s_above_the_cap_exits_2(capsys, monkeypatch):
         assert out == ""
         assert err == ("error: crosscheck is capped at s <= 16 (its tables hold 2^s "
                        "entries), got %s\n" % value)
+
+
+def test_identities_max_above_the_cap_exits_2(capsys, monkeypatch):
+    status, payload, _ = run_json(capsys, "verify", "identities", "--max", "256")
+    assert status == 0 and len(payload["checks"]) == 2 * 254
+    # refused before any identity is evaluated
+    monkeypatch.setattr(cover, "reducible_genus_sum_identity", None)
+    for value in ("257", "100000"):
+        status, out, err = run_cli(capsys, "verify", "identities", "--max", value,
+                                   "--format", "json")
+        assert status == 2
+        assert out == ""
+        assert err == "error: identities are capped at --max <= 256, got %s\n" % value
+
+
+def test_bound_r_above_the_cap_exits_2(capsys, monkeypatch):
+    status, payload, _ = run_json(capsys, "verify", "bound", "--r", "1024")
+    assert status == 0 and payload["checks"]["bound_r1024"]["pass"]
+    # refused before the bound is computed; 29000 used to fail while rendering
+    monkeypatch.setattr(constructions, "genus_upper_bound", None)
+    for value in ("1025", "29000", "100000"):
+        status, out, err = run_cli(capsys, "verify", "bound", "--r", value)
+        assert status == 2
+        assert out == ""
+        assert err == "error: bound is capped at r <= 1024, got %s\n" % value
 
 
 def test_infinite_epsilon_exits_2(capsys):

@@ -35,7 +35,11 @@ from jacdecomp.numerics import (
     set_precision,
 )
 
-from helpers import _sampled_errors_one_form_product_per_equation, random_admissible
+from helpers import (
+    _sampled_errors_one_form_product_per_equation,
+    boundary_values,
+    random_admissible,
+)
 
 
 def genus_one_invariants(report):
@@ -675,6 +679,49 @@ def test_genus13_constraint_roots_give_valid_families():
             assert report.ok
             found += 1
     assert found >= 10
+
+
+@pytest.mark.parametrize("eps", ["1e-30", "1e-9", "0.25"])
+def test_linear_form_coefficient_test_at_the_boundary(eps):
+    # the pivot sits epsilon * (1 -/+ 2^-30) from lambda, admissible at a
+    # tolerance of 1e-40; the pivot - lambda coefficient is then tested at eps
+    numerics.set_epsilon(eps)
+    decisions = set()
+    for x in boundary_values():
+        numerics.set_epsilon("1e-40")
+        params = ReducibleParams(2, ((5, 2 + x),))
+        numerics.set_epsilon(eps)
+        inside = abs(params.mu[0][1] - params.lam) <= numerics.epsilon()
+        decisions.add(inside)
+        try:
+            derive_equations_reducible(params)
+        except DegenerateParameter:
+            assert inside
+        else:
+            assert not inside
+    assert decisions == {True, False}
+
+
+@pytest.mark.parametrize("eps", ["1e-30", "1e-9", "0.25"])
+def test_genus13_residual_test_at_the_boundary(eps):
+    # l2 solves the constraint shifted by a target of modulus eps (1 -/+ 2^-30)
+    numerics.set_epsilon(eps)
+    decisions = set()
+    for target in boundary_values():
+        mp.prec += 64
+        l2 = (4 + sqrt(3 * target - 2)) / 3
+        mp.prec -= 64
+        l1, l2 = mpc(2), +l2
+        residual = l2 * l2 * (1 + l1) - 4 * l1 * l2 + l1 * (1 + l1)
+        inside = abs(residual) <= numerics.epsilon()
+        decisions.add(inside)
+        try:
+            check_genus13_family(l1, l2)
+        except ConstraintViolated as exc:
+            assert not inside and exc.residual == residual
+        else:
+            assert inside
+    assert decisions == {True, False}
 
 
 def test_factor_lambda_invariant_requires_genus_one():

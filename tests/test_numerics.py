@@ -22,7 +22,7 @@ from jacdecomp.numerics import (
     solve_quadratic,
 )
 
-from helpers import random_admissible, random_mobius
+from helpers import boundary_values, random_admissible, random_mobius
 
 
 def chi(z1, z2, z3, z4):
@@ -250,6 +250,29 @@ def test_solve_quadratic_residuals_and_vieta():
 def test_solve_quadratic_degenerate_leading():
     with pytest.raises(DegenerateLeadingCoefficient):
         solve_quadratic(0, 1, 1)
+
+
+def raises(function, *args):
+    try:
+        function(*args)
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("eps", ["1e-30", "1e-9", "0.25"])
+def test_mobius_and_quadratic_tolerance_tests_at_the_boundary(eps):
+    # each test decides as the literal mpc abs(x) <= epsilon does
+    set_epsilon(eps)
+    decisions = set()
+    for x in boundary_values():
+        inside = abs(x) <= epsilon()
+        decisions.add(inside)
+        assert raises(MobiusMap, x, 0, 0, 1) == inside                  # ad - bc = x
+        assert is_infinity(MobiusMap(1, 1, x, 1).apply(INFINITY)) == inside
+        assert is_infinity(MobiusMap(1, 1, 1, x).apply(0)) == inside     # cz + d = x
+        assert raises(solve_quadratic, x, 1, 1) == inside
+    assert decisions == {True, False}
 
 
 def test_parse_complex_forms():

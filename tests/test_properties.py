@@ -1,15 +1,16 @@
 """Property tests: decompose against brute force, GF(2) elimination against
 explicit spans, the sort-and-sweep collision search against the full
 pairwise scan, the prefiltered first_close against a linear close scan,
-orbit tagging against the first-candidate scan, cross_ratio_lambda
-against the Mobius map it stands for, and the sampled equation identity
-against its one-product-per-equation reference loop."""
+within_epsilon against the mpc modulus test, orbit tagging against the
+first-candidate scan, cross_ratio_lambda against the Mobius map it stands
+for, and the sampled equation identity against its one-product-per-equation
+reference loop."""
 
 import random
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
@@ -95,9 +96,13 @@ def _scan(points):
     return None
 
 
+_DIRECTIONS = st.sampled_from([1, -1, 1j, -1j, (1 + 1j) / 2 ** 0.5])
+# 2^60 + 2^7 and 1 + 2^-53 lie halfway between two doubles, so a point just
+# above one of them gets a double copy one unit in the last place away
+_MIDPOINTS = [mpc(mpf(2) ** 60 + 2 ** 7, 1), mpc(1 + mpf(2) ** -53)]
 _BASES = st.one_of(
     st.builds(mpc, st.floats(-5, 5), st.floats(-5, 5)),
-    st.sampled_from([mpc(0), mpc(1), mpc(1e8), mpc(-2.5, 1e-3),
+    st.sampled_from([0, 1, mpc(0), mpc(1), mpc(1e8), mpc(-2.5, 1e-3), *_MIDPOINTS,
                      mpc(mpf("1e400"), 1), mpc(1, mpf("-1e400")), mpc(1e300, 2)]),
 )
 # offsets in units of epsilon, straddling the tolerance
@@ -106,21 +111,32 @@ _STEPS = st.sampled_from([0, 0.5, 1, -1, 1 - 1e-6, 1 + 1e-6, -(1 + 1e-6), 2, 1e6
 
 @st.composite
 def near_duplicate_points(draw):
-    points = draw(st.lists(_BASES, min_size=1, max_size=6))
-    for _ in range(draw(st.integers(0, 6))):
-        base = points[draw(st.integers(0, len(points) - 1))]
-        step = draw(_STEPS) * epsilon()
-        direction = draw(st.sampled_from([1, -1, 1j, -1j, (1 + 1j) / 2 ** 0.5]))
-        points.append(base + step * mpc(direction))
-    for _ in range(draw(st.integers(0, 2))):
-        points.append(INFINITY)
-    return draw(st.permutations(points))
+    """Bases (the plain ints 0 and 1 among them), offsets from them as (base
+    index, step in units of epsilon, direction), a count of infinities and
+    an order of the whole list, resolved at the epsilon in force."""
+    bases = draw(st.lists(_BASES, min_size=1, max_size=6))
+    offsets = draw(st.lists(st.tuples(st.integers(0, len(bases) - 1), _STEPS,
+                                      _DIRECTIONS), max_size=6))
+    infinities = draw(st.integers(0, 2))
+    return bases, offsets, infinities, draw(
+        st.permutations(range(len(bases) + len(offsets) + infinities)))
 
 
+@pytest.mark.parametrize("eps", ["1e-30", "1e-9", "0.25"])
 @settings(max_examples=300, deadline=None)
 @given(near_duplicate_points())
-def test_first_collision_matches_full_scan(points):
-    assert first_collision(points) == _scan(points)
+@example(recipes=([_MIDPOINTS[0]], [(0, 0.5, 1)], 0, [0, 1]))
+def test_first_collision_matches_full_scan(eps, recipes):
+    bases, offsets, infinities, order = recipes
+    saved = epsilon()
+    numerics.set_epsilon(eps)
+    try:
+        points = bases + [bases[index] + step * epsilon() * mpc(direction)
+                          for index, step, direction in offsets] + [INFINITY] * infinities
+        points = [points[k] for k in order]
+        assert first_collision(points) == _scan(points)
+    finally:
+        numerics.set_epsilon(saved)
 
 
 _PARTS = st.one_of(
@@ -132,7 +148,6 @@ _PARTS = st.one_of(
 )
 # offsets in units of epsilon, straddling it by 2^-40
 _NEAR_STEPS = st.sampled_from([0, 0.5, 1 - 2 ** -40, 1 + 2 ** -40, 2, 1e6])
-_DIRECTIONS = st.sampled_from([1, -1, 1j, -1j, (1 + 1j) / 2 ** 0.5])
 
 
 @st.composite
@@ -163,6 +178,60 @@ def test_first_close_matches_linear_close_scan(eps, recipes):
         assert first_close(x, near_table(values)) == want
     finally:
         numerics.set_epsilon(saved)
+
+
+# a relative offset of the modulus from epsilon: within 2^-40 (decided by
+# close), a few units in the last place at the working precision, or up to
+# 2^-30 (decided in doubles)
+_MODULUS_OFFSETS = st.one_of(
+    st.floats(-2.0 ** -40, 2.0 ** -40),
+    st.integers(-8, 8).map(lambda k: ("ulps", k)),
+    st.floats(-2.0 ** -30, 2.0 ** -30),
+)
+# a part of size 2^1000 or more: (mantissa, binary exponent)
+_HUGE_PARTS = st.tuples(st.floats(-4, 4).filter(lambda m: abs(m) >= 1),
+                        st.integers(1000, 1100))
+
+
+@st.composite
+def epsilon_probes(draw):
+    """A value recipe: ("near", offset, direction), ("huge", part, part or
+    None) or ("any", re, im), resolved at the precision and epsilon in force."""
+    kind = draw(st.sampled_from(["near", "huge", "any"]))
+    if kind == "near":
+        return kind, draw(_MODULUS_OFFSETS), draw(_DIRECTIONS)
+    if kind == "huge":
+        return kind, draw(_HUGE_PARTS), draw(st.none() | _HUGE_PARTS)
+    return kind, draw(_PARTS), draw(_PARTS)
+
+
+def _resolve_probe(probe):
+    kind, first, second = probe
+    if kind == "near":
+        if isinstance(first, tuple):
+            first = first[1] * mpf(2) ** (1 - mp.prec)
+        return epsilon() * (1 + mpf(first)) * mpc(second)
+    if kind == "huge":
+        huge = [None if part is None else mpf(part[0]) * mpf(2) ** part[1]
+                for part in (first, second)]
+        return mpc(huge[0], 1 if huge[1] is None else huge[1])
+    return mpc(first, second)
+
+
+@pytest.mark.parametrize("eps", ["1e-30", "1e-9", "0.25"])
+@pytest.mark.parametrize("bits", [53, 128, 256])
+@settings(max_examples=150, deadline=None)
+@given(epsilon_probes())
+def test_within_epsilon_is_the_modulus_test(eps, bits, probe):
+    saved = mp.prec, epsilon()
+    mp.prec = bits
+    try:
+        numerics.set_epsilon(eps)
+        z = _resolve_probe(probe)
+        assert numerics.within_epsilon(z._mpc_) == (abs(z) <= epsilon())
+    finally:
+        mp.prec = saved[0]
+        numerics.set_epsilon(saved[1])
 
 
 def _reference_tags(report, candidates):
