@@ -68,7 +68,7 @@ def _pairs(mu) -> list:
     return [[format_point(a), format_point(b)] for a, b in mu]
 
 
-def _build_genus2(args, orbits) -> dict:
+def _build_genus2(args) -> dict:
     l1, l2 = parse_point(args.l1), parse_point(args.l2)
     equation, model = cons.build_genus2(l1, l2)
     eta1, eta2 = format_point(equation.eta1), format_point(equation.eta2)
@@ -81,8 +81,9 @@ def _build_genus2(args, orbits) -> dict:
     }
 
 
-def _build_irreducible(args, orbits) -> dict:
+def _build_irreducible(args) -> dict:
     values = _parse_values(args.lambdas)
+    _require_rank(len(values))
     return {
         "model": cons.build_irreducible(values),
         "candidates": values,
@@ -104,11 +105,15 @@ def _two_component(params, candidates, construction: dict) -> dict:
     }
 
 
-def _build_reducible(args, orbits) -> dict:
+def _build_reducible(args) -> dict:
+    orbits = None
     if args.chain:
         if args.lam is not None or args.mu is not None:
             raise legendre.InvalidDomain("--chain cannot be combined with --lambda or --mu")
-        chain = cons.chain_with_auxiliary(_parse_values(args.chain))
+        values = _parse_values(args.chain)
+        _require_rank(len(values) // 2 + 1)
+        chain = cons.chain_with_auxiliary(values)
+        orbits = legendre.OrbitTable()
         params = cons.solve_mu_chain(chain, orbits)
         candidates, extra = list(chain), {"chain": [format_point(v) for v in chain]}
     else:
@@ -116,16 +121,19 @@ def _build_reducible(args, orbits) -> dict:
             raise legendre.InvalidDomain(
                 "reducible needs either --chain or both --lambda and --mu")
         mus = _parse_values(args.mu)
+        _require_rank(len(mus) // 2 + 1)
         if len(mus) < 2 or len(mus) % 2:
             raise legendre.InvalidDomain("--mu needs an even number (>= 2) of values")
         params = cons.ReducibleParams(parse_point(args.lam), tuple(zip(mus[::2], mus[1::2])))
         candidates, extra = params.flat(), {}
-    return _two_component(params, candidates, {
+    built = _two_component(params, candidates, {
         "type": "reducible", "s": params.s, "lambda": format_point(params.lam),
         "mu": _pairs(params.mu), **extra})
+    built["orbits"] = orbits
+    return built
 
 
-def _build_genus9(args, orbits) -> dict:
+def _build_genus9(args) -> dict:
     lam, mu = parse_point(args.lam), parse_point(args.mu)
     params = cons.genus9_parameters(lam, mu)
     return _two_component(params, params.flat(), {
@@ -144,12 +152,10 @@ BUILDERS = {
 def build_from_args(args) -> dict:
     """Resolve a construction subcommand into its model, the parameters that
     tag genus-1 factors, the construction record, a function that derives
-    and renders the equations (only `construct` calls it) and the orbit
-    table that a solver filled and tagging reuses."""
-    orbits = legendre.OrbitTable()
-    built = BUILDERS[args.construction](args, orbits)
-    built["orbits"] = orbits
-    return built
+    and renders the equations (only `construct` calls it) and, for
+    `reducible`, the orbit table that a `--chain` solve filled (else None)
+    for tagging to reuse."""
+    return BUILDERS[args.construction](args)
 
 
 def _common_options() -> argparse.ArgumentParser:
@@ -202,7 +208,7 @@ def cmd_decompose(args) -> tuple[dict, int]:
     built = build_from_args(args)
     model = built["model"]
     report = cover.decompose(model)
-    tags = cons.tag_factors(report, built["candidates"], built["orbits"])
+    tags = cons.tag_factors(report, built["candidates"], built.get("orbits"))
     terms = factor_terms(model)
     factors = [{
         "functional": functional_bits(functional, model.rank),
@@ -287,6 +293,10 @@ def cmd_verify(args) -> tuple[dict, int]:
     return {"checks": checks, "ok": ok}, 0 if ok else 1
 
 
+# Largest deck rank of a `construct` or `decompose` build (`--lambdas`,
+# `--mu` or `--chain`): both walk the 2^rank - 1 nonzero functionals, so time
+# and output double with every step of the rank.
+RANK_MAX = 16
 # Largest `verify crosscheck --s`: the derived system and the sampled table
 # hold 2^s entries each, so the time doubles with every step of s.
 CROSSCHECK_MAX_S = 16
@@ -296,6 +306,12 @@ IDENTITIES_MAX = 256
 # Largest `verify bound --r`: the bound has about 0.15 r decimal digits, and
 # from r = 28542 on it exceeds Python's int-to-str limit when rendered.
 BOUND_MAX_R = 1024
+
+
+def _require_rank(rank: int) -> None:
+    if rank > RANK_MAX:
+        raise cons.OutOfRange("construct and decompose are capped at deck rank <= %d, got %d"
+                              % (RANK_MAX, rank))
 
 
 def _crosscheck(s: int, seed: int) -> dict:

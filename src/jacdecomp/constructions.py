@@ -299,25 +299,29 @@ def derive_equations_reducible(params: ReducibleParams) -> list[CurveEquation]:
 # Parameter solvers
 
 
-def _pick_root(quadratic, admissible, oracles, orbits: OrbitTable, heading: str,
-               **context) -> mpc:
-    """The first root of the quadratic (a, b, c) passing ``admissible`` (raises
-    InvalidDomain) and the (target, four points, message) orbit oracles of
-    ``oracles(root)`` in order, each target's orbit taken from ``orbits``.  A
+def _pick_root(quadratic, admit, oracles, orbits: OrbitTable, heading: str,
+               **context) -> ReducibleParams:
+    """``admit(root)`` for the first root of the quadratic (a, b, c) that
+    ``admit`` accepts (else it raises InvalidDomain) and whose admitted last
+    pair (mu, k mu) passes the (target, p1, p2, message) oracles in order:
+    the cross-ratio of (p1, p2, mu, k mu) lies in the target's orbit from
+    ``orbits``.  Admission has shown those points pairwise distinct under
+    the same close rule, so the cross-ratio is cross_ratio_unchecked.  A
     root stops at its first failure; only then is that message, a
     ``str.format`` template over ``mu`` and ``context``, formatted."""
     failures = []
     for root in solve_quadratic(*quadratic):
         try:
-            admissible(root)
+            params = admit(root)
         except InvalidDomain as exc:
             failures.append(str(exc))
             continue
-        failed = next((message for target, points, message in oracles(root)
-                       if not orbits.same_curve(target, cross_ratio_lambda(*points))),
-                      None)
+        pair = params.mu[-1]
+        failed = next((message for target, p1, p2, message in oracles
+                       if not orbits.same_curve(
+                           target, mp.make_mpc(cross_ratio_unchecked(p1, p2, *pair)))), None)
         if failed is None:
-            return root
+            return params
         failures.append(failed.format(mu=format_point(root), **context))
     raise NoValidRoot(heading.format(**context) + "; ".join(failures))
 
@@ -337,12 +341,10 @@ def solve_mu_genus3(l1, l2, l3) -> mpc:
     return _pick_root(
         (a, b, c),
         lambda mu: ReducibleParams(l1, ((mu, l3 * mu),)),
-        lambda mu: [
-            (l2, (1, l1, mu, l3 * mu), "orbit oracle for second factor failed at mu={mu}"),
-            (l3, (INFINITY, 0, mu, l3 * mu), "orbit oracle for third factor failed at mu={mu}"),
-        ],
+        [(l2, mpc(1), l1, "orbit oracle for second factor failed at mu={mu}"),
+         (l3, INFINITY, mpc(0), "orbit oracle for third factor failed at mu={mu}")],
         OrbitTable(),
-        "no quadratic root passes the domain and oracle checks: ")
+        "no quadratic root passes the domain and oracle checks: ").mu[0][0]
 
 
 def genus9_parameters(lam, mu) -> ReducibleParams:
@@ -386,10 +388,12 @@ def solve_mu_chain(lambdas, orbits: OrbitTable | None = None) -> ReducibleParams
     For each pair index j the second entry is lambda_{j+1} times the first,
     which pins the (inf, 0) branch-set factor, and the quadratic pins the
     (1, lam) branch-set factor to lambda_{s-1+j}.  Both roots are tried in
-    a deterministic order and every acceptance is certified by the
-    cross-ratio oracles and by admissibility of the accumulated tuple.  The
-    oracles take each target's orbit from ``orbits`` (a fresh table when
-    None), which tag_factors can then reuse.
+    a deterministic order.  A root is admitted as the ReducibleParams that
+    extends the pairs so far by (mu, lambda_{j+1} mu), one validation of
+    the whole tuple, and then certified by the cross-ratio oracles; the
+    last admitted params are the result.  The oracles take each target's
+    orbit from ``orbits`` (a fresh table when None), which tag_factors can
+    then reuse.
     """
     orbits = OrbitTable() if orbits is None else orbits
     values = require_admissible_tuple(lambdas)
@@ -398,27 +402,22 @@ def solve_mu_chain(lambdas, orbits: OrbitTable | None = None) -> ReducibleParams
         raise InvalidDomain("need an odd number r >= 3 of parameters, got %d" % r)
     s = (r + 3) // 2
     lam = values[0]
-    accumulated = [lam]
-    pairs = []
+    pairs = ()
     for j in range(1, s - 1):
         ratio = values[j]
         target = values[s - 2 + j]
         a = ratio * (1 - target)
         b = target - ratio - lam + lam * ratio * target
         c = lam * (1 - target)
-        mu1 = _pick_root(
+        params = _pick_root(
             (a, b, c),
-            lambda mu: require_admissible_tuple(accumulated + [mu, ratio * mu], name="p"),
-            lambda mu: [
-                (ratio, (INFINITY, 0, mu, ratio * mu), "ratio oracle failed at pair {pair}"),
-                (target, (1, lam, mu, ratio * mu), "target oracle failed at pair {pair}"),
-            ],
+            lambda mu: ReducibleParams(lam, pairs + ((mu, ratio * mu),)),
+            [(ratio, INFINITY, mpc(0), "ratio oracle failed at pair {pair}"),
+             (target, mpc(1), lam, "target oracle failed at pair {pair}")],
             orbits,
             "pair {pair}: no root passes the checks: ", pair=j)
-        chosen = (mu1, ratio * mu1)
-        accumulated.extend(chosen)
-        pairs.append(chosen)
-    return ReducibleParams(lam, tuple(pairs))
+        pairs = params.mu
+    return params
 
 
 def chain_with_auxiliary(lambdas) -> list[mpc]:
@@ -491,9 +490,10 @@ def check_genus5_family(l1, l2) -> Genus5Report:
     branch set is paired by x -> l1/x."""
     l1, l2 = require_admissible_tuple([l1, l2])
     l3 = l1 / l2
-    values = require_admissible_tuple([l1, l2, l3])
-    # the one genus-2 factor of a rank-3 irreducible model is functional 111
-    genera, pairings, count = _split_family(values, {0b111: MobiusMap(0, l1, 1, 0)})
+    # build_irreducible checks (l1, l2, l3); the map cannot raise first, as
+    # its determinant -l1 is admissible.  The one genus-2 factor of a rank-3
+    # irreducible model is functional 111.
+    genera, pairings, count = _split_family([l1, l2, l3], {0b111: MobiusMap(0, l1, 1, 0)})
     return Genus5Report(lambdas=(l1, l2, l3), factor_genera=genera,
                         pairing=pairings[0b111], elliptic_count=count)
 

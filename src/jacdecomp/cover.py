@@ -66,10 +66,6 @@ def gf2_rank(vectors: Iterable[int]) -> int:
     return len(_echelon(vectors))
 
 
-def gf2_in_span(v: int, vectors: Iterable[int]) -> bool:
-    return _reduce(v, _echelon(vectors)) == 0
-
-
 def pairing(functional: int, vector: int) -> int:
     """The GF(2) pairing <functional, vector> in {0, 1}."""
     return (functional & vector).bit_count() & 1

@@ -14,8 +14,7 @@ from mpmath import mp, mpc
 from mpmath.libmp import fone, mpc_div, mpc_mpf_div, mpc_sub, mpc_sub_mpf, round_nearest
 
 # cross_ratio_lambda is re-exported: it is the Legendre parameter t of four
-# branch points normalized to (inf, 0, 1, t), which the constructions'
-# oracles compare via OrbitTable.same_curve.
+# branch points normalized to (inf, 0, 1, t), which same_curve compares.
 from .numerics import (  # noqa: F401
     _ONE,
     DomainError,

@@ -169,14 +169,6 @@ def near_table(values) -> list:
     return [near_entry((v if type(v) is mpc else mpc(v))._mpc_) for v in values]
 
 
-def first_close(x, table):
-    """Index of the first value in a near_table that close accepts with x,
-    or None: the answer of a linear close scan (first_near on x)."""
-    if type(x) is not mpc:
-        x = mpc(x)
-    return first_near(near_entry(x._mpc_), table)
-
-
 def _near_bounds(reach):
     """first_near's skip and accept bounds on the double gap to an entry of
     reach 0, for a value of the given reach."""
@@ -186,8 +178,9 @@ def _near_bounds(reach):
 
 
 def first_near(entry, table):
-    """first_close for a value already in near_entry form: the double
-    prefilter of close.
+    """Index of the first entry of a near_table that close accepts with the
+    value of ``entry`` (its near_entry), or None: the answer of a linear
+    close scan, with a double prefilter.
 
     With x~, v~ the double copies and eps~ the tolerance as a double, an
     entry is skipped without calling close only when, in double arithmetic,

@@ -273,6 +273,40 @@ def test_bound_r_above_the_cap_exits_2(capsys, monkeypatch):
         assert err == "error: bound is capped at r <= 1024, got %s\n" % value
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("built past the rank cap")
+
+
+def _values(count) -> str:
+    return ",".join(str(k) for k in range(2, count + 2))
+
+
+@pytest.mark.parametrize("command", ["construct", "decompose"])
+@pytest.mark.parametrize("selector, above, at", [
+    (["irreducible", "--lambdas"], 17, 16),           # rank: the count
+    (["reducible", "--lambda", "2", "--mu"], 32, 30),  # rank: count // 2 + 1
+    (["reducible", "--lambda", "2", "--mu"], 33, 30),
+    (["reducible", "--chain"], 32, 30),               # 32 pad to 33 values, s = 18
+    (["reducible", "--chain"], 33, 31),
+])
+def test_rank_above_the_cap_exits_2(capsys, monkeypatch, command, selector, above, at):
+    # refused from the list length, before any validation, solve or build
+    for name in ("build_irreducible", "ReducibleParams", "chain_with_auxiliary",
+                 "solve_mu_chain", "build_reducible"):
+        monkeypatch.setattr(constructions, name, _refuse)
+    status, out, err = run_cli(capsys, command, *selector, _values(above))
+    assert (status, out) == (2, "")
+    assert err == "error: construct and decompose are capped at deck rank <= 16, got 17\n"
+    # rank 16 passes the cap and reaches the patched builders
+    with pytest.raises(AssertionError):
+        cli.main([command, *selector, _values(at)])
+
+
+def test_construct_irreducible_at_the_rank_cap(capsys):
+    status, payload, _ = run_json(capsys, "construct", "irreducible", "--lambdas", _values(16))
+    assert status == 0 and payload["construction"]["r"] == 16
+
+
 def test_infinite_epsilon_exits_2(capsys):
     for value in ("inf", "nan"):
         status, out, err = run_cli(capsys, "construct", "irreducible", "--lambdas", "2,3,4",

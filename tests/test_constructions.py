@@ -588,6 +588,28 @@ def test_chain_solver_and_tagging_build_each_orbit_once(monkeypatch):
     assert len(built) == len(set(built)) == 7
 
 
+def test_solver_oracles_repeat_no_collision_check(monkeypatch):
+    # admission has shown each oracle's four points distinct; the oracles
+    # must not check them again
+    want = solve_mu_chain([2, 3, 4, 5, 6, 7, 8]), solve_mu_genus3(2, 3, 4)
+
+    def refuse(points):
+        raise AssertionError("collision check repeated by a solver oracle")
+    monkeypatch.setattr(numerics, "first_collision", refuse)
+    assert (solve_mu_chain([2, 3, 4, 5, 6, 7, 8]), solve_mu_genus3(2, 3, 4)) == want
+
+
+def test_chain_validates_each_root_once(monkeypatch):
+    lengths = []
+    check = cons.require_admissible_tuple
+    monkeypatch.setattr(cons, "require_admissible_tuple",
+                        lambda values, name="lambda": lengths.append(len(values))
+                        or check(values, name))
+    solve_mu_chain([2, 3, 4, 5, 6, 7, 8])
+    # the input, then one validation per root tried and no closing one
+    assert lengths == [7, 3, 5, 7]
+
+
 def test_chain_even_case_realizes_bound():
     # padding an even tuple gives an odd chain whose construction genus is
     # exactly the closed-form bound
@@ -630,9 +652,15 @@ def test_genus5_family_example():
         assert any(close(p, value) for p in finite)
 
 
-def test_genus5_family_collision_rejected():
-    with pytest.raises(InvalidDomain):
-        check_genus5_family(4, 2)  # third parameter collides with the second
+@pytest.mark.parametrize("l1, l2, text", [
+    # the third parameter collides with the second
+    (4, 2, "lambda_2 and lambda_3 coincide within tolerance (2)"),
+    ("1e-5", "1e5", "lambda_3 = 1e-10 is not admissible (too close to 0 or 1)"),
+])
+def test_genus5_family_collision_rejected(l1, l2, text):
+    with pytest.raises(InvalidDomain) as info:
+        check_genus5_family(l1, l2)
+    assert str(info.value) == text
 
 
 def test_genus5_family_random():

@@ -20,7 +20,6 @@ from jacdecomp.cover import (
     decompose,
     fixed_point_count,
     functional_kernel_basis,
-    gf2_in_span,
     gf2_rank,
     irreducible_genus_sum_identity,
     kani_rosen_criterion,
@@ -47,11 +46,9 @@ def reducible_params(s, rng=None):
 # GF(2) helpers
 
 
-def test_gf2_rank_and_span():
+def test_gf2_rank():
     assert gf2_rank([0b001, 0b010, 0b011]) == 2
     assert gf2_rank([]) == 0
-    assert gf2_in_span(0b011, [0b001, 0b010])
-    assert not gf2_in_span(0b100, [0b001, 0b010])
 
 
 def test_functional_kernel_basis():

@@ -1,9 +1,9 @@
 """Property tests: decompose against brute force, GF(2) elimination against
 explicit spans, the sort-and-sweep collision search against the full
-pairwise scan, the prefiltered first_close against a linear close scan,
+pairwise scan, the prefiltered first_near against a linear close scan,
 within_epsilon against the mpc modulus test, orbit tagging against the
 first-candidate scan, cross_ratio_lambda against the Mobius map it stands
-for, and the sampled equation identity against its one-product-per-equation
+for, the solver oracles' distinct points after admission, and the sampled equation identity against its one-product-per-equation
 reference loop."""
 
 import random
@@ -19,7 +19,6 @@ from jacdecomp.constructions import factor_lambda_invariant
 from jacdecomp.cover import (
     _echelon,
     decompose,
-    gf2_in_span,
     gf2_rank,
     pairing,
     quotient_equation,
@@ -35,8 +34,8 @@ from jacdecomp.numerics import (
     close,
     cross_ratio_lambda,
     epsilon,
-    first_close,
     first_collision,
+    first_near,
     format_point,
     is_infinity,
     near_table,
@@ -79,14 +78,13 @@ def _span(vectors):
 
 
 @SETTINGS
-@given(st.lists(st.integers(0, 255), max_size=10), st.integers(0, 255))
-def test_elimination_rank_is_log_of_span(vectors, probe):
+@given(st.lists(st.integers(0, 255), max_size=10))
+def test_elimination_rank_is_log_of_span(vectors):
     span = _span(vectors)
     rank = gf2_rank(vectors)
     assert len(_echelon(vectors)) == rank
     assert 1 << rank == len(span)
     assert _span(_echelon(vectors).values()) == span
-    assert gf2_in_span(probe, vectors) == (probe in span)
 
 
 def _scan(points):
@@ -167,7 +165,7 @@ def _resolve(bases, recipe):
 @pytest.mark.parametrize("eps", ["1e-30", "1e-9", "0.25"])
 @settings(max_examples=200, deadline=None)
 @given(near_queries())
-def test_first_close_matches_linear_close_scan(eps, recipes):
+def test_first_near_matches_linear_close_scan(eps, recipes):
     bases, offsets, query = recipes
     saved = epsilon()
     numerics.set_epsilon(eps)
@@ -175,7 +173,7 @@ def test_first_close_matches_linear_close_scan(eps, recipes):
         values = bases + [_resolve(bases, recipe) for recipe in offsets]
         x = _resolve(bases, query)
         want = next((k for k, v in enumerate(values) if close(x, v)), None)
-        assert first_close(x, near_table(values)) == want
+        assert first_near(near_table([x])[0], near_table(values)) == want
     finally:
         numerics.set_epsilon(saved)
 
@@ -382,6 +380,73 @@ def test_cross_ratio_lambda_is_the_standard_map_applied(inputs, near, ulps):
     finally:
         mp.prec = saved[0]
         numerics.set_epsilon(saved[1])
+
+
+_PLANE = st.builds(complex, st.floats(-4, 4), st.floats(-4, 4))
+# a value anywhere, or (anchor index, step in units of epsilon, direction):
+# just outside (twice as often, so that most roots are admitted) or just
+# inside epsilon of an anchor
+_ROOT_STEPS = st.sampled_from([1 + 2 ** -30, 1 + 2 ** -30, 1 - 2 ** -30])
+_ROOT_RECIPES = st.one_of(
+    _PLANE, st.tuples(st.integers(0, 99), _ROOT_STEPS, _DIRECTIONS))
+
+
+# lam and the earlier pair values: distinct lattice points other than 0 and
+# 1, each part moved by at most 0.1, so admissible at every epsilon drawn
+_SITES = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(
+    lambda site: site not in ((0, 0), (1, 0)))
+_JITTER = st.floats(-0.1, 0.1)
+
+
+@st.composite
+def solver_steps(draw):
+    """One solver step: lam and the earlier pairs' values, then recipes for
+    the root mu and its partner k mu, resolved at the epsilon in force."""
+    count = 2 * draw(st.integers(0, 2)) + 1
+    sites = draw(st.lists(_SITES, min_size=count, max_size=count, unique=True))
+    values = [complex(a + draw(_JITTER), b + draw(_JITTER)) for a, b in sites]
+    return values, draw(_ROOT_RECIPES), draw(_ROOT_RECIPES)
+
+
+def _resolve_root(recipe, anchors):
+    """A recipe's value: mu's anchors are 0, 1, lam and the earlier pair
+    values, k mu's also mu."""
+    if isinstance(recipe, complex):
+        return mpc(recipe)
+    index, step, direction = recipe
+    return anchors[index % len(anchors)] + step * epsilon() * mpc(direction)
+
+
+@pytest.mark.parametrize("eps", ["1e-30", "1e-9", "0.25"])
+@settings(max_examples=300, deadline=None)
+@given(solver_steps())
+def test_admitted_root_leaves_its_oracle_points_distinct(eps, step):
+    """The solvers' oracles run cross_ratio_unchecked because admission, the
+    ReducibleParams that extends the pairs by (mu, k mu), has shown their
+    four points distinct: when it succeeds, first_collision finds nothing
+    in (inf, 0, mu, k mu) or (1, lam, mu, k mu), and the checked and
+    unchecked cross-ratios agree."""
+    values, mu_recipe, partner_recipe = step
+    saved = epsilon()
+    numerics.set_epsilon(eps)
+    try:
+        anchors = [mpc(0), mpc(1)] + [mpc(v) for v in values]
+        lam, earlier = anchors[2], anchors[3:]
+        pairs = tuple(zip(earlier[::2], earlier[1::2]))
+        mu = _resolve_root(mu_recipe, anchors)
+        assume(mu != 0)
+        ratio = _resolve_root(partner_recipe, anchors + [mu]) / mu
+        try:
+            params = constructions.ReducibleParams(lam, pairs + ((mu, ratio * mu),))
+        except legendre.InvalidDomain:
+            return
+        assert params.mu[-1] == (mu, ratio * mu)
+        for points in ([INFINITY, mpc(0), mu, ratio * mu], [mpc(1), lam, mu, ratio * mu]):
+            assert first_collision(points) is None
+            assert _outcome(_unchecked_cross_ratio, points) == _outcome(
+                cross_ratio_lambda, points)
+    finally:
+        numerics.set_epsilon(saved)
 
 
 # a parameter: (real, imaginary, decimal exponent) as for the cluster centers
