@@ -274,14 +274,12 @@ def format_complex(z) -> str:
     if type(z) is not mpc:
         z = mpc(z)
     re_s = _format_real(z.real)
-    im = float(z.imag)
-    if im == 0.0:
-        return re_s
     im_s = _format_real(abs(z.imag))
-    sign = "-" if im < 0 else "+"
-    if float(z.real) == 0.0:
-        return ("-" if im < 0 else "") + im_s + "i"
-    return re_s + sign + im_s + "i"
+    if im_s == "0":
+        return re_s
+    if re_s == "0":
+        return ("-" if z.imag < 0 else "") + im_s + "i"
+    return re_s + ("-" if z.imag < 0 else "+") + im_s + "i"
 
 
 def format_point(p) -> str:
@@ -297,8 +295,17 @@ def _format_real(x) -> str:
     return "%.17g" % v
 
 
-_REAL = r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
-_COMPONENT = re.compile(r"^([+-]?)((?:%s)(?:/(?:%s))?)?(i?)$" % (_REAL, _REAL))
+# The literal grammar.  A body is a decimal or p/q, and a decimal that starts
+# with its point has a nonzero digit (mpf cannot read ".0"); a term is an
+# optional body and an optional i, not both absent; a literal is one term, or
+# a real and an imaginary term in either order with the second one signed.  A
+# quotient is a parenthesized literal or quotient, divided by nothing or by a
+# signed body.
+_REAL = r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.0*[1-9][0-9]*(?:[eE][+-]?[0-9]+)?"
+_BODY = r"(?:%s)(?:/(?:%s))?" % (_REAL, _REAL)
+_TERM = r"(?=[0-9.i])(%s)?(i?)" % _BODY
+_LITERAL = re.compile(r"([+-]?)%s(?:([+-])%s)?" % (_TERM, _TERM))
+_QUOTIENT = re.compile(r"\((.*)\)(?:/([+-]?%s))?" % _BODY)
 
 
 def parse_point(text: str):
@@ -309,60 +316,40 @@ def parse_point(text: str):
 
 
 def parse_complex(text: str) -> mpc:
-    """Parse a complex literal.
+    """Parse a complex literal of the grammar above, spaces ignored: e.g.
+    "2", "-1.5", "3/4", "2+3i", "-3/4i+1/2", "i", "-2i" and "(4+1.4142i)/3".
 
-    Accepted forms: decimal or rational (p/q) real and imaginary components,
-    e.g. "2", "-1.5", "3/4", "2+3i", "1/2-3/4i", "i", "-2i", and a whole
-    parenthesized value divided by a real, e.g. "(4+1.4142i)/3".
-    """
+    Each body is read by _parse_real and negated after a "-"; the divisors
+    of nested quotients apply innermost first, each tested against the
+    double range."""
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty complex literal")
-    if s.startswith("("):
-        depth, idx = 0, None
-        for k, ch in enumerate(s):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    idx = k
-                    break
-        if idx is None:
-            raise ValueError("unbalanced parenthesis in %r" % text)
-        inner = parse_complex(s[1:idx])
-        rest = s[idx + 1:]
-        if not rest:
-            return inner
-        if not rest.startswith("/"):
-            raise ValueError("malformed literal %r" % text)
-        return _double_range(inner / _parse_real(rest[1:]), text)
-    parts = _split_terms(s)
-    real = mpf(0)
-    imag = mpf(0)
-    seen_imag = False
-    seen_real = False
-    for part in parts:
-        m = _COMPONENT.match(part)
-        if not m:
+    divisors = []
+    while s.startswith("("):
+        m = _QUOTIENT.fullmatch(s)
+        if m is None:
             raise ValueError("malformed complex literal %r" % text)
-        sign, body, unit = m.groups()
-        if body is None and not unit:
-            raise ValueError("malformed complex literal %r" % text)
+        s, divisor = m.groups()
+        divisors.append(divisor)
+    m = _LITERAL.fullmatch(s)
+    if m is None:
+        raise ValueError("malformed complex literal %r" % text)
+    first, second = m.groups()[:3], m.groups()[3:]
+    parts = {}
+    for sign, body, unit in (first, second) if second[0] else (first,):
         value = _parse_real(body) if body else mpf(1)
-        if sign == "-":
-            value = -value
-        if unit:
-            if seen_imag:
-                raise ValueError("repeated imaginary part in %r" % text)
-            imag = value
-            seen_imag = True
-        else:
-            if seen_real:
-                raise ValueError("repeated real part in %r" % text)
-            real = value
-            seen_real = True
-    return _double_range(mpc(real, imag), text)
+        if unit in parts:
+            raise ValueError("repeated %s part in %r"
+                             % ("imaginary" if unit else "real", text))
+        parts[unit] = -value if sign == "-" else value
+    z = _double_range(mpc(parts.get("", 0), parts.get("i", 0)), text)
+    for divisor in filter(None, reversed(divisors)):
+        d = _parse_real(divisor)
+        if d == 0:
+            raise ValueError("zero denominator in %r" % text)
+        z = _double_range(z / d, text)
+    return z
 
 
 def _double_range(z: mpc, text: str) -> mpc:
@@ -370,19 +357,6 @@ def _double_range(z: mpc, text: str) -> mpc:
     if math.isinf(float(z.real)) or math.isinf(float(z.imag)):
         raise ValueError("literal %r exceeds the double range" % text)
     return z
-
-
-def _split_terms(s: str) -> list[str]:
-    terms = []
-    start = 0
-    for k in range(1, len(s)):
-        if s[k] in "+-" and s[k - 1] not in "eE+-/":
-            terms.append(s[start:k])
-            start = k
-    terms.append(s[start:])
-    if not 1 <= len(terms) <= 2:
-        raise ValueError("malformed complex literal %r" % s)
-    return terms
 
 
 def _parse_real(token: str) -> mpf:

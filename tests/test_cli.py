@@ -392,6 +392,31 @@ def test_overflowing_literal_exits_2(capsys):
     assert err == "error: literal '1e400' exceeds the double range\n"
 
 
+@pytest.mark.parametrize("literal, message", [
+    ("(2)/0", "zero denominator in '(2)/0'"),
+    ("(2)/inf", "malformed complex literal '(2)/inf'"),
+    ("(2+i)/nan", "malformed complex literal '(2+i)/nan'"),
+    ("(5)/1_000", "malformed complex literal '(5)/1_000'"),
+    ("(2)/3i", "malformed complex literal '(2)/3i'"),
+    ("(2)/", "malformed complex literal '(2)/'"),
+    ("(2)/3/4/5", "malformed complex literal '(2)/3/4/5'"),
+])
+def test_divisor_after_a_parenthesis_obeys_the_grammar(capsys, literal, message):
+    status, out, err = run_cli(capsys, "construct", "irreducible",
+                               "--lambdas", literal + ",3,4")
+    assert status == 2
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
+def test_deeply_nested_literal_is_read(capsys):
+    deep = "(" * 1200 + "2" + ")" * 1200
+    status, payload, _ = run_json(capsys, "construct", "irreducible",
+                                  "--lambdas", deep + ",3,4")
+    assert status == 0
+    assert payload["construction"]["lambdas"][0] == "2"
+
+
 def test_derived_value_beyond_the_double_range_exits_2(capsys):
     # eta1 = (l1 - 1)/(l2 - 1) = 5e309 is finite but does not fit a double
     status, out, err = run_cli(capsys, "construct", "genus2", "--l1", "1e301",

@@ -289,7 +289,9 @@ def test_parse_complex_forms():
 
 
 def test_parse_complex_rejects_garbage():
-    for bad in ("", "2+3", "2i+3i", "1//2", "(1+2i", "abc"):
+    for bad in ("", "2+3", "2i+3i", "1//2", "(1+2i", "abc", "(2)/0", "(2)/inf", "(2+i)/nan",
+                "(5)/1_000", "(2)/3i", "(2)/", "(2)/3/4/5", "(2)(3)", "2+", "-", "1/-2",
+                "2+3+4i"):
         with pytest.raises(ValueError):
             parse_complex(bad)
 

@@ -3,9 +3,11 @@ explicit spans, the sort-and-sweep collision search against the full
 pairwise scan, the prefiltered first_near against a linear close scan,
 within_epsilon against the mpc modulus test, orbit tagging against the
 first-candidate scan, cross_ratio_lambda against the Mobius map it stands
-for, the solver oracles' distinct points after admission, and the sampled equation identity against its one-product-per-equation
-reference loop."""
+for, the solver oracles' distinct points after admission, the sampled equation identity against its one-product-per-equation
+reference loop, and parse_complex against the literal grammar built from its
+parts."""
 
+import math
 import random
 from itertools import combinations
 
@@ -549,3 +551,118 @@ def test_sampled_identity_errors_match_reference_on_any_equation_subset(case):
             _sampled_errors_one_form_product_per_equation(params, subset, samples)
     finally:
         mp.prec = saved
+
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=6)
+
+
+@st.composite
+def decimals(draw):
+    """A decimal: digits with an optional point and fraction, or a point and
+    digits not all zero, with an optional exponent of up to two digits."""
+    head, tail = draw(_DIGITS), draw(_DIGITS)
+    forms = [head, head + ".", head + "." + tail]
+    text = draw(st.sampled_from(forms + ["." + tail] if tail.strip("0") else forms))
+    if draw(st.booleans()):
+        text += (draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "+", "-"]))
+                 + draw(st.text("0123456789", min_size=1, max_size=2)))
+    return text
+
+
+# a body: (p, None) for a decimal p, (p, q) for p/q
+_BODIES = st.tuples(decimals(), st.none() | decimals())
+_SIGNS = st.sampled_from(["", "+", "-"])
+
+
+@st.composite
+def grammar_literals(draw):
+    """(text, terms, divisors): one term, or a real and an imaginary term in
+    either order, each (sign, body or None, unit); then up to three
+    parentheses from the inside out, each with a divisor (sign, body) or
+    None; spaces inserted anywhere."""
+    units = draw(st.sampled_from([[""], ["i"], ["", "i"], ["i", ""]]))
+    terms = []
+    for k, unit in enumerate(units):
+        sign = draw(st.sampled_from(["+", "-"]) if k else _SIGNS)
+        body = draw(st.none() | _BODIES) if unit else draw(_BODIES)
+        terms.append((sign, body, unit))
+    divisors = draw(st.lists(st.none() | st.tuples(_SIGNS, _BODIES), max_size=3))
+
+    def body_text(body):
+        return body[0] + ("" if body[1] is None else "/" + body[1])
+
+    text = "".join(sign + (body_text(body) if body else "") + unit
+                   for sign, body, unit in terms)
+    for divisor in divisors:
+        text = "(" + text + ")"
+        if divisor is not None:
+            text += "/" + divisor[0] + body_text(divisor[1])
+    for k in sorted(draw(st.lists(st.integers(0, len(text)), max_size=4)), reverse=True):
+        text = text[:k] + " " + text[k:]
+    return text, terms, divisors
+
+
+def _grammar_value(terms, divisors):
+    """The literal's value from its parts, or the start of the message that
+    rejects it: one mpf division per p/q and per divisor, innermost first,
+    negation for "-", and the double range tested after each division."""
+    def real(sign, body):
+        p, q = body
+        if q is not None and mpf(q) == 0:
+            raise ZeroDivisionError
+        value = mpf(p) if q is None else mpf(p) / mpf(q)
+        return -value if sign == "-" else value
+
+    def in_range(z):
+        return not (math.isinf(float(z.real)) or math.isinf(float(z.imag)))
+
+    try:
+        parts = {unit: real(sign, body) if body else real(sign, ("1", None))
+                 for sign, body, unit in terms}
+        z = mpc(parts.get("", 0), parts.get("i", 0))
+        if not in_range(z):
+            return "literal"
+        for divisor in divisors:
+            if divisor is not None:
+                d = real(*divisor)
+                if d == 0:
+                    raise ZeroDivisionError
+                z = z / d
+                if not in_range(z):
+                    return "literal"
+    except ZeroDivisionError:
+        return "zero denominator"
+    return z
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+@settings(max_examples=300, deadline=None)
+@given(grammar_literals())
+def test_parse_complex_reads_the_grammar(bits, literal):
+    text, terms, divisors = literal
+    numerics.set_precision(bits)
+    want = _grammar_value(terms, divisors)
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as info:
+            numerics.parse_complex(text)
+        assert str(info.value).startswith(want + " ")
+    else:
+        assert numerics.parse_complex(text)._mpc_ == want._mpc_
+
+
+_LITERAL_CHARS = st.sampled_from(list("0123456789.eE+-/i() ") + ["inf", "nan", "_"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_LITERAL_CHARS, max_size=14).map("".join))
+def test_parse_complex_rejects_with_a_grammar_message(text):
+    """Any string over the literal alphabet parses to a value in the double
+    range or is rejected with one of the grammar's messages."""
+    try:
+        z = numerics.parse_complex(text)
+    except ValueError as exc:
+        assert str(exc) == "empty complex literal" or str(exc).startswith((
+            "malformed complex literal ", "repeated real part in ",
+            "repeated imaginary part in ", "zero denominator in ", "literal "))
+    else:
+        assert not (math.isinf(float(z.real)) or math.isinf(float(z.imag)))
