@@ -69,6 +69,9 @@ CASES = {
     "verify_crosscheck_s7": ["verify", "crosscheck", "--s", "7", "--seed", "7"],
     "verify_crosscheck_s4_p256": ["verify", "crosscheck", "--s", "4", "--seed", "7",
                                   "--precision", "256"],
+    # at 53 bits every product of the double-valued draws rounds
+    "verify_crosscheck_s5_p53": ["verify", "crosscheck", "--s", "5", "--seed", "7",
+                                 "--precision", "53"],
     "verify_identities_max6": ["verify", "identities", "--max", "6"],
     "verify_bound_r6": ["verify", "bound", "--r", "6"],
     "verify_bound_r7": ["verify", "bound", "--r", "7"],
