@@ -11,21 +11,13 @@ independent cross-ratio oracles.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from math import hypot, ldexp
 from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf, sqrt
-from mpmath.libmp import (
-    from_int,
-    mpc_abs,
-    mpc_add,
-    mpc_mul,
-    mpc_sub,
-    mpf_add,
-    mpf_div,
-    round_nearest,
-    to_float,
-)
+from mpmath.libmp import fone, fzero, mpc_abs, mpf_add, mpf_div, round_nearest, to_float
 
 from .cover import CoverModel, DecompositionReport, FactorCurve, decompose
 from .legendre import (
@@ -704,6 +696,119 @@ def compare_with_reference(equations, reference) -> list[EquationComparison]:
     return out
 
 
+# The sampled identity runs on complex values held as signed integers
+# (re_man, re_exp, im_man, im_exp): each part is man * 2^exp with man odd,
+# or man = 0.  A sum whose operands' exponents lie more than 100 bits apart
+# takes mpf_add's own far-operand path (see _sum).
+_FAR = 100
+# Slack of the error-step prefilter (see sampled_identity_errors).
+_BAND = 1.0 - 2.0 ** -40
+_NORMAL_MIN = sys.float_info.min
+_DOUBLE_MAX = sys.float_info.max
+
+
+def _int_part(x) -> tuple:
+    """(man, exp) of a raw mpf tuple, the mantissa signed."""
+    sign, man, exp, _ = x
+    return (-man if sign else man), exp
+
+
+def _mpf_part(man: int, exp: int) -> tuple:
+    """The raw mpf tuple of man * 2^exp, man odd or 0."""
+    if not man:
+        return fzero
+    if man < 0:
+        return 1, -man, exp, (-man).bit_length()
+    return 0, man, exp, man.bit_length()
+
+
+def _int_complex(z) -> tuple:
+    """(re_man, re_exp, im_man, im_exp) of a raw ``_mpc_`` tuple."""
+    return (*_int_part(z[0]), *_int_part(z[1]))
+
+
+def _mpc_complex(x) -> tuple:
+    """The raw ``_mpc_`` tuple of an _int_complex value."""
+    return _mpf_part(x[0], x[1]), _mpf_part(x[2], x[3])
+
+
+def _sum(m1: int, e1: int, m2: int, e2: int, prec: int) -> tuple:
+    """m1 2^e1 + m2 2^e2, each mantissa odd or 0, rounded to prec bits,
+    nearest-even, as (man, exp) with man odd or 0: bit for bit mpf_add on
+    the two exact operands.
+
+    The exact sum is formed on the smaller exponent and rounded once.  That
+    is what mpf_add does unless both operands are nonzero and their
+    exponents (those of odd mantissas, as in mpf_add) lie more than 100 bits
+    apart.  There mpf_add may replace the smaller operand by a one-unit
+    perturbation below the larger one; on an exact product longer than
+    prec + 4 bits that can round differently from the exact sum, so such a
+    sum is handed to mpf_add itself."""
+    if not m2:
+        m, e = m1, e1
+    elif not m1:
+        m, e = m2, e2
+    else:
+        offset = e1 - e2
+        if offset > _FAR or offset < -_FAR:
+            return _int_part(mpf_add(_mpf_part(m1, e1), _mpf_part(m2, e2),
+                                     prec, round_nearest))
+        if offset >= 0:
+            m, e = (m1 << offset) + m2, e2
+        else:
+            m, e = m1 + (m2 << -offset), e1
+    n = m.bit_length() - prec
+    if n > 0:
+        # floor shift, plus one above the half and at the half of an odd quotient
+        m = (m + ((m >> n) & 1) + (1 << (n - 1)) - 1) >> n
+        e += n
+    if m and not m & 1:
+        n = (m & -m).bit_length() - 1
+        m >>= n
+        e += n
+    return m, e
+
+
+def _mul(x, y, prec: int) -> tuple:
+    """x * y as mpc_mul gives it: exact part products, each part rounded once."""
+    a, ae, b, be = x
+    c, ce, d, de = y
+    return (*_sum(a * c, ae + ce, -(b * d), be + de, prec),
+            *_sum(a * d, ae + de, b * c, be + ce, prec))
+
+
+def _add(x, y, prec: int) -> tuple:
+    """x + y as mpc_add gives it."""
+    return (*_sum(x[0], x[1], y[0], y[1], prec),
+            *_sum(x[2], x[3], y[2], y[3], prec))
+
+
+def _sub(x, y, prec: int) -> tuple:
+    """x - y as mpc_sub gives it."""
+    return (*_sum(x[0], x[1], -y[0], y[1], prec),
+            *_sum(x[2], x[3], -y[2], y[3], prec))
+
+
+def _error_estimate(d, raw):
+    """|d| / (1 + |raw|) in doubles, or None when a double copy overflows
+    or the estimate is not a finite normal number."""
+    try:
+        estimate = hypot(ldexp(d[0], d[1]), ldexp(d[2], d[3])) / (
+            1.0 + hypot(ldexp(raw[0], raw[1]), ldexp(raw[2], raw[3])))
+    except OverflowError:
+        return None
+    return estimate if _NORMAL_MIN <= estimate <= _DOUBLE_MAX else None
+
+
+def _error(d, raw, prec: int) -> float:
+    """float(abs(d) / (1 + abs(raw))) with the libmp operations of the mpc
+    operators, d being the rounded difference expanded - raw."""
+    rnd = round_nearest
+    return to_float(mpf_div(mpc_abs(_mpc_complex(d), prec, rnd),
+                            mpf_add(mpc_abs(_mpc_complex(raw), prec, rnd), fone, prec, rnd),
+                            prec, rnd), rnd=rnd)
+
+
 def sampled_identity_errors(params: ReducibleParams, equations, samples) -> list[float]:
     """Relative error between each expanded equation and the raw
     (unexpanded) product of the linear forms it selects, worst over the
@@ -718,13 +823,35 @@ def sampled_identity_errors(params: ReducibleParams, equations, samples) -> list
     root's difference z - root is taken once per sample and shared by every
     equation holding that root.
 
-    The arithmetic runs on the raw mpmath tuples, with the operations,
-    operands, order and rounding that the mpc operators use, so every error
-    is bit for bit ``float(abs(eq.evaluate(z) - raw) / (1 + abs(raw)))``.
+    Arithmetic.  Forms, constants, roots and samples are converted once to
+    signed integer mantissas and exponents.  The form values const +
+    coeff z, the table, the differences, the expanded chains and d =
+    expanded - raw are then formed, operation by operation, from exact
+    integer part products and sums rounded once per part to mp.prec bits,
+    nearest-even (_sum states the one exception, where mpf_add's own path
+    is taken).  That is how mpc_mul, mpc_add and mpc_sub round, so every
+    value is bit for bit the mpc operators' value.
+
+    Error step.  Each d is first estimated as |d| / (1 + |raw|) in
+    doubles.  A conversion of a part moves it by at most a relative 2^-53
+    (or 2^-1074 below the normal range, which is under 2^-52 of an estimate
+    not below 2^-1022, as 1 + |raw| >= 1); the two hypot calls, the
+    addition and the division add a few units more; and the exact formula
+    (mpc_abs, mpf_add, mpf_div at mp.prec >= 53 bits and to_float) rounds
+    four times by at most 2^-53.  So the estimate lies within about 2^-49
+    of the exact error, relatively.  Each equation keeps the samples whose
+    estimate is at least (1 - 2^-40) times its largest estimate so far,
+    and only those left at the end run the exact formula, unchanged: any
+    other sample's exact error lies below that of the sample with the
+    largest estimate, so it cannot hold the maximum.  A d whose double
+    copies overflow, or whose estimate is not a finite normal number, is
+    always evaluated exactly and never used to prune; a d of 0 has error
+    0.0 exactly.  So every error is bit for bit
+    ``float(abs(eq.evaluate(z) - raw) / (1 + abs(raw)))``.
     """
-    prec, rnd = mp.prec, round_nearest
-    one = from_int(1)
-    *groups, last = [[(const._mpc_, coeff._mpc_) for const, coeff in group]
+    prec = mp.prec
+    *groups, last = [[(_int_complex(const._mpc_), _int_complex(coeff._mpc_))
+                      for const, coeff in group]
                      for group in _coordinate_forms(params)]
     (last_const, last_coeff), = last
     # the lower entries of odd weight, the ones the last coordinate joins
@@ -734,30 +861,42 @@ def sampled_identity_errors(params: ReducibleParams, equations, samples) -> list
     for eq in equations:
         mask = sum(bit << j for j, bit in enumerate(eq.alpha))
         indices = [distinct.setdefault(root._mpc_, len(distinct)) for root in eq.roots]
-        plan.append((mask, eq.constant._mpc_, indices))
-    roots = list(distinct)
+        plan.append((mask, _int_complex(eq.constant._mpc_), indices))
+    roots = [_int_complex(root) for root in distinct]
+    one = _int_complex(_ONE)
     errors = [0.0] * len(equations)
+    largest = [0.0] * len(equations)
+    kept: list[list] = [[] for _ in equations]
     for z in samples:
-        z = to_complex(z)._mpc_
-        table = [_ONE]
+        z = _int_complex(to_complex(z)._mpc_)
+        table = [one]
         for group in groups:
-            values = [mpc_add(const, mpc_mul(coeff, z, prec, rnd), prec, rnd)
-                      for const, coeff in group]
+            values = [_add(const, _mul(coeff, z, prec), prec) for const, coeff in group]
             for lower in range(len(table)):
                 raw = table[lower]
                 for value in values:
-                    raw = mpc_mul(raw, value, prec, rnd)
+                    raw = _mul(raw, value, prec)
                 table.append(raw)
-        value = mpc_add(last_const, mpc_mul(last_coeff, z, prec, rnd), prec, rnd)
-        table.extend([mpc_mul(raw, value, prec, rnd) if joins else None
+        value = _add(last_const, _mul(last_coeff, z, prec), prec)
+        table.extend([_mul(raw, value, prec) if joins else None
                       for raw, joins in zip(table, odd)])
-        differences = [mpc_sub(z, root, prec, rnd) for root in roots]
+        differences = [_sub(z, root, prec) for root in roots]
         for k, (mask, expanded, indices) in enumerate(plan):
             for i in indices:
-                expanded = mpc_mul(expanded, differences[i], prec, rnd)
+                expanded = _mul(expanded, differences[i], prec)
             raw = table[mask]
-            error = to_float(mpf_div(
-                mpc_abs(mpc_sub(expanded, raw, prec, rnd), prec, rnd),
-                mpf_add(mpc_abs(raw, prec, rnd), one, prec, rnd), prec, rnd), rnd=rnd)
-            errors[k] = max(errors[k], error)
+            d = _sub(expanded, raw, prec)
+            if not (d[0] or d[2]):
+                continue
+            estimate = _error_estimate(d, raw)
+            if estimate is None:
+                errors[k] = max(errors[k], _error(d, raw, prec))
+            elif estimate >= largest[k] * _BAND:
+                if estimate > largest[k]:
+                    largest[k] = estimate
+                    kept[k] = [entry for entry in kept[k] if entry[0] >= estimate * _BAND]
+                kept[k].append((estimate, d, raw))
+    for k, entries in enumerate(kept):
+        for _, d, raw in entries:
+            errors[k] = max(errors[k], _error(d, raw, prec))
     return errors

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 import re
+import sys
 from dataclasses import dataclass
 
 from mpmath import isfinite, mp, mpc, mpf, nstr, sqrt
@@ -338,14 +339,14 @@ def parse_complex(text: str) -> mpc:
     first, second = m.groups()[:3], m.groups()[3:]
     parts = {}
     for sign, body, unit in (first, second) if second[0] else (first,):
-        value = _parse_real(body) if body else mpf(1)
+        value = _parse_real(body, text) if body else mpf(1)
         if unit in parts:
             raise ValueError("repeated %s part in %r"
                              % ("imaginary" if unit else "real", text))
         parts[unit] = -value if sign == "-" else value
     z = _double_range(mpc(parts.get("", 0), parts.get("i", 0)), text)
     for divisor in filter(None, reversed(divisors)):
-        d = _parse_real(divisor)
+        d = _parse_real(divisor, text)
         if d == 0:
             raise ValueError("zero denominator in %r" % text)
         z = _double_range(z / d, text)
@@ -359,14 +360,23 @@ def _double_range(z: mpc, text: str) -> mpc:
     return z
 
 
-def _parse_real(token: str) -> mpf:
-    if "/" in token:
-        num, den = token.split("/", 1)
-        d = mpf(den)
-        if d == 0:
-            raise ValueError("zero denominator in %r" % token)
-        return mpf(num) / d
-    return mpf(token)
+def _parse_real(token: str, text: str) -> mpf:
+    """The value of a body, a decimal or p/q, of the literal ``text``, which
+    every message names."""
+    num, slash, den = token.partition("/")
+    try:
+        value = mpf(num)
+        d = mpf(den) if slash else None
+    except ValueError:
+        # the grammar admits decimals only, so mpf met the interpreter's
+        # limit on int-str conversion
+        raise ValueError("literal %r has a number of more than %d digits"
+                         % (text, sys.get_int_max_str_digits())) from None
+    if d is None:
+        return value
+    if d == 0:
+        raise ValueError("zero denominator in %r" % text)
+    return value / d
 
 
 @dataclass(frozen=True)

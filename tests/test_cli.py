@@ -400,6 +400,9 @@ def test_overflowing_literal_exits_2(capsys):
     ("(2)/3i", "malformed complex literal '(2)/3i'"),
     ("(2)/", "malformed complex literal '(2)/'"),
     ("(2)/3/4/5", "malformed complex literal '(2)/3/4/5'"),
+    ("2+1/0i", "zero denominator in '2+1/0i'"),
+    pytest.param("1" * 5000, "literal '%s' has a number of more than 4300 digits"
+                 % ("1" * 5000), id="5000-digit-body"),
 ])
 def test_divisor_after_a_parenthesis_obeys_the_grammar(capsys, literal, message):
     status, out, err = run_cli(capsys, "construct", "irreducible",

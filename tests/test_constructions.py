@@ -225,6 +225,22 @@ def test_sampled_identity_errors_are_bit_identical_to_per_equation_products(s, b
     assert 0 < max(got) < 1e-30
 
 
+
+@pytest.mark.parametrize("scale", [1e150, 1e300])
+@pytest.mark.parametrize("s", [3, 5])
+def test_sampled_identity_errors_are_bit_identical_far_outside_the_double_range(s, scale):
+    # the forms, products and differences overflow any double copy, so
+    # every error is taken by the exact formula
+    rng = random.Random(2000 * s)
+    draw = [v / 3 * scale for v in random_admissible(rng, 2 * s - 3)]
+    params = ReducibleParams(draw[0], tuple(
+        (draw[1 + 2 * k], draw[2 + 2 * k]) for k in range(s - 2)))
+    equations = derive_equations_reducible(params)
+    samples = [mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) * scale for _ in range(20)]
+    got = cons.sampled_identity_errors(params, equations, samples)
+    assert got == _sampled_errors_one_form_product_per_equation(params, equations, samples)
+    assert 0 < max(got) < 1e-30
+
 def test_equations_match_closed_form_constants():
     rng = random.Random(58)
     for s in (3, 4, 5):

@@ -4,7 +4,8 @@ pairwise scan, the prefiltered first_near against a linear close scan,
 within_epsilon against the mpc modulus test, orbit tagging against the
 first-candidate scan, cross_ratio_lambda against the Mobius map it stands
 for, the solver oracles' distinct points after admission, the sampled equation identity against its one-product-per-equation
-reference loop, and parse_complex against the literal grammar built from its
+reference loop, its integer arithmetic against libmp's mpc_mul, mpc_add
+and mpc_sub, and parse_complex against the literal grammar built from its
 parts."""
 
 import math
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import fone, from_man_exp, fzero, mpc_add, mpc_mul, mpc_sub, mpf_add, round_nearest
 
 from jacdecomp import cli, constructions, legendre, numerics
 from jacdecomp.constructions import factor_lambda_invariant
@@ -551,6 +553,77 @@ def test_sampled_identity_errors_match_reference_on_any_equation_subset(case):
             _sampled_errors_one_form_product_per_equation(params, subset, samples)
     finally:
         mp.prec = saved
+
+
+_ROUNDING_PRECISIONS = [53, 97, 128, 256]
+_LIBMP = {"mul": (constructions._mul, mpc_mul), "add": (constructions._add, mpc_add),
+          "sub": (constructions._sub, mpc_sub)}
+
+
+@st.composite
+def _mpf_values(draw, prec):
+    """A raw mpf: zero, or a signed mantissa of up to prec bits (or exactly
+    prec) at an exponent within 300 of 0, so operand gaps reach far past
+    100 bits."""
+    kind = draw(st.sampled_from(["zero", "short", "full"]))
+    if kind == "zero":
+        return fzero
+    low = 1 << (prec - 1) if kind == "full" else 1
+    man = draw(st.integers(low, (1 << prec) - 1))
+    return from_man_exp(man if draw(st.booleans()) else -man, draw(st.integers(-300, 300)))
+
+
+@st.composite
+def _halfway_pairs(draw, prec):
+    """(x, y), x a prec-bit value of either parity and y half its last
+    place, of either sign: x + y lies exactly between two neighbours."""
+    man = draw(st.integers(1 << (prec - 2), (1 << (prec - 1)) - 1)) * 2 + draw(st.integers(0, 1))
+    exp = draw(st.integers(-300, 300))
+    x = from_man_exp(man if draw(st.booleans()) else -man, exp)
+    return x, from_man_exp(1 if draw(st.booleans()) else -1, exp - 1)
+
+
+@st.composite
+def rounding_cases(draw):
+    """(prec, op, z, w) for op in mul, add and sub: random parts, or parts
+    whose exact result lies halfway (z = (x, -y) times w = (1, 1) makes both
+    parts of the product x + y and x - y)."""
+    prec = draw(st.sampled_from(_ROUNDING_PRECISIONS))
+    op = draw(st.sampled_from(sorted(_LIBMP)))
+    if draw(st.booleans()):
+        z = (draw(_mpf_values(prec)), draw(_mpf_values(prec)))
+        w = (draw(_mpf_values(prec)), draw(_mpf_values(prec)))
+    elif op == "mul":
+        x, y = draw(_halfway_pairs(prec))
+        z, w = (x, (y[0] ^ 1,) + y[1:]), (fone, fone)
+    else:
+        (x1, y1), (x2, y2) = draw(_halfway_pairs(prec)), draw(_halfway_pairs(prec))
+        if op == "sub":
+            y1, y2 = (y1[0] ^ 1,) + y1[1:], (y2[0] ^ 1,) + y2[1:]
+        z, w = (x1, x2), (y1, y2)
+    return prec, op, z, w
+
+
+@settings(max_examples=250, deadline=None)
+@given(rounding_cases())
+def test_integer_arithmetic_is_bit_for_bit_libmp(case):
+    prec, op, z, w = case
+    ours, libmp = _LIBMP[op]
+    got = ours(constructions._int_complex(z), constructions._int_complex(w), prec)
+    assert constructions._mpc_complex(got) == libmp(z, w, prec, round_nearest)
+
+
+@pytest.mark.parametrize("prec", _ROUNDING_PRECISIONS)
+def test_far_operand_sum_is_mpf_add_where_that_is_not_the_exact_rounding(prec):
+    # a 2 prec-bit operand (an exact product) whose discarded half lies one
+    # unit above the tie, minus a little over 3 at an exponent 102 bits
+    # lower: mpf_add perturbs instead of subtracting and rounds up, while
+    # the exact difference rounds down
+    big = (1 << (2 * prec - 1)) | (1 << (prec - 1)) | 1
+    small = -((3 << 102) | 1)
+    want = mpf_add(from_man_exp(big, 0), from_man_exp(small, -102), prec, round_nearest)
+    assert want != from_man_exp((big << 102) + small, -102, prec, round_nearest)
+    assert constructions._mpf_part(*constructions._sum(big, 0, small, -102, prec)) == want
 
 
 _DIGITS = st.text("0123456789", min_size=1, max_size=6)
