@@ -17,7 +17,15 @@ from math import hypot, ldexp
 from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf, sqrt
-from mpmath.libmp import fone, fzero, mpc_abs, mpf_add, mpf_div, round_nearest, to_float
+from mpmath.libmp import (
+    fone,
+    from_man_exp,
+    mpc_abs,
+    mpf_add,
+    mpf_div,
+    round_nearest,
+    to_float,
+)
 
 from .cover import CoverModel, DecompositionReport, FactorCurve, decompose
 from .legendre import (
@@ -699,7 +707,7 @@ def compare_with_reference(equations, reference) -> list[EquationComparison]:
 # The sampled identity runs on complex values held as signed integers
 # (re_man, re_exp, im_man, im_exp): each part is man * 2^exp with man odd,
 # or man = 0.  A sum whose operands' exponents lie more than 100 bits apart
-# takes mpf_add's own far-operand path (see _sum).
+# may take mpf_add's own far-operand path (see _sum).
 _FAR = 100
 # Slack of the error-step prefilter (see sampled_identity_errors).
 _BAND = 1.0 - 2.0 ** -40
@@ -713,15 +721,6 @@ def _int_part(x) -> tuple:
     return (-man if sign else man), exp
 
 
-def _mpf_part(man: int, exp: int) -> tuple:
-    """The raw mpf tuple of man * 2^exp, man odd or 0."""
-    if not man:
-        return fzero
-    if man < 0:
-        return 1, -man, exp, (-man).bit_length()
-    return 0, man, exp, man.bit_length()
-
-
 def _int_complex(z) -> tuple:
     """(re_man, re_exp, im_man, im_exp) of a raw ``_mpc_`` tuple."""
     return (*_int_part(z[0]), *_int_part(z[1]))
@@ -729,7 +728,7 @@ def _int_complex(z) -> tuple:
 
 def _mpc_complex(x) -> tuple:
     """The raw ``_mpc_`` tuple of an _int_complex value."""
-    return _mpf_part(x[0], x[1]), _mpf_part(x[2], x[3])
+    return from_man_exp(x[0], x[1]), from_man_exp(x[2], x[3])
 
 
 def _sum(m1: int, e1: int, m2: int, e2: int, prec: int) -> tuple:
@@ -738,20 +737,21 @@ def _sum(m1: int, e1: int, m2: int, e2: int, prec: int) -> tuple:
     the two exact operands.
 
     The exact sum is formed on the smaller exponent and rounded once.  That
-    is what mpf_add does unless both operands are nonzero and their
-    exponents (those of odd mantissas, as in mpf_add) lie more than 100 bits
-    apart.  There mpf_add may replace the smaller operand by a one-unit
-    perturbation below the larger one; on an exact product longer than
-    prec + 4 bits that can round differently from the exact sum, so such a
-    sum is handed to mpf_add itself."""
+    is what mpf_add does unless both operands are nonzero, their exponents
+    (those of odd mantissas, as in mpf_add) lie more than 100 bits apart
+    and their leading bits more than prec + 4.  There mpf_add replaces the
+    smaller operand by a one-unit perturbation below the larger one; on an
+    exact product longer than prec + 4 bits that can round differently from
+    the exact sum, so such a sum is handed to mpf_add itself."""
     if not m2:
         m, e = m1, e1
     elif not m1:
         m, e = m2, e2
     else:
         offset = e1 - e2
-        if offset > _FAR or offset < -_FAR:
-            return _int_part(mpf_add(_mpf_part(m1, e1), _mpf_part(m2, e2),
+        if (offset > _FAR or offset < -_FAR) and abs(
+                offset + m1.bit_length() - m2.bit_length()) > prec + 4:
+            return _int_part(mpf_add(from_man_exp(m1, e1), from_man_exp(m2, e2),
                                      prec, round_nearest))
         if offset >= 0:
             m, e = (m1 << offset) + m2, e2

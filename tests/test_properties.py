@@ -616,14 +616,17 @@ def test_integer_arithmetic_is_bit_for_bit_libmp(case):
 @pytest.mark.parametrize("prec", _ROUNDING_PRECISIONS)
 def test_far_operand_sum_is_mpf_add_where_that_is_not_the_exact_rounding(prec):
     # a 2 prec-bit operand (an exact product) whose discarded half lies one
-    # unit above the tie, minus a little over 3 at an exponent 102 bits
-    # lower: mpf_add perturbs instead of subtracting and rounds up, while
-    # the exact difference rounds down
+    # unit above the tie, minus a little over 2^lead at an exponent 102 bits
+    # lower: with leading bits more than prec + 4 apart mpf_add perturbs
+    # instead of subtracting and rounds up, while the exact difference
+    # rounds down; at prec + 4 apart it subtracts
     big = (1 << (2 * prec - 1)) | (1 << (prec - 1)) | 1
-    small = -((3 << 102) | 1)
-    want = mpf_add(from_man_exp(big, 0), from_man_exp(small, -102), prec, round_nearest)
-    assert want != from_man_exp((big << 102) + small, -102, prec, round_nearest)
-    assert constructions._mpf_part(*constructions._sum(big, 0, small, -102, prec)) == want
+    for lead, perturbs in ((1, True), (prec - 6, True), (prec - 5, False)):
+        small = -((1 << (lead + 102)) | 1)
+        want = mpf_add(from_man_exp(big, 0), from_man_exp(small, -102), prec, round_nearest)
+        exact = from_man_exp((big << 102) + small, -102, prec, round_nearest)
+        assert (want != exact) == perturbs
+        assert from_man_exp(*constructions._sum(big, 0, small, -102, prec)) == want
 
 
 _DIGITS = st.text("0123456789", min_size=1, max_size=6)
