@@ -72,6 +72,9 @@ CASES = {
     # at 53 bits every product of the double-valued draws rounds
     "verify_crosscheck_s5_p53": ["verify", "crosscheck", "--s", "5", "--seed", "7",
                                  "--precision", "53"],
+    # mantissas of 1,024 bits and more do not convert to a double directly
+    "verify_crosscheck_s5_p1100": ["verify", "crosscheck", "--s", "5", "--seed", "7",
+                                   "--precision", "1100"],
     "verify_identities_max6": ["verify", "identities", "--max", "6"],
     "verify_bound_r6": ["verify", "bound", "--r", "6"],
     "verify_bound_r7": ["verify", "bound", "--r", "7"],
