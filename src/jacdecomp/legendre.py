@@ -11,12 +11,10 @@ import random
 from dataclasses import dataclass, field
 
 from mpmath import mp, mpc
-from mpmath.libmp import fone, mpc_div, mpc_mpf_div, mpc_sub, mpc_sub_mpf, round_nearest
 
 # cross_ratio_lambda is re-exported: it is the Legendre parameter t of four
 # branch points normalized to (inf, 0, 1, t), which same_curve compares.
 from .numerics import (  # noqa: F401
-    _ONE,
     DomainError,
     MobiusMap,
     NotInvolution,
@@ -70,15 +68,12 @@ def require_admissible_tuple(values, name: str = "lambda") -> list[mpc]:
 
 def orbit_images(t) -> list:
     """t, 1/t, 1 - t, 1/(1 - t), t/(t - 1), (t - 1)/t for a raw ``_mpc_``
-    tuple t, with the libmp operations, operands and rounding that the mpc
-    operators apply to these expressions (the integer 1 is converted to the
-    mpf 1)."""
-    prec, rnd = mp.prec, round_nearest
-    one_minus = mpc_sub(_ONE, t, prec, rnd)
-    minus_one = mpc_sub_mpf(t, fone, prec, rnd)
-    return [t, mpc_mpf_div(fone, t, prec, rnd), one_minus,
-            mpc_mpf_div(fone, one_minus, prec, rnd), mpc_div(t, minus_one, prec, rnd),
-            mpc_div(minus_one, t, prec, rnd)]
+    tuple t, as the raw tuples of those mpc expressions, with 1 - t and
+    t - 1 each formed once."""
+    t = mp.make_mpc(t)
+    one_minus, minus_one = 1 - t, t - 1
+    return [w._mpc_ for w in (t, 1 / t, one_minus, 1 / one_minus,
+                              t / minus_one, minus_one / t)]
 
 
 def _orbit_entries(t) -> list:

@@ -9,24 +9,14 @@ single global tolerance, default 1e-9.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import re
 import sys
 from dataclasses import dataclass
 
 from mpmath import isfinite, mp, mpc, mpf, nstr, sqrt
-from mpmath.libmp import (
-    fone,
-    fzero,
-    mpc_add,
-    mpc_div,
-    mpc_mul,
-    mpc_neg,
-    mpc_pos,
-    mpc_sub,
-    mpc_to_complex,
-    round_nearest,
-)
+from mpmath.libmp import fzero, mpc_to_complex, round_nearest
 
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_EPSILON = "1e-9"
@@ -63,7 +53,14 @@ def set_epsilon(eps) -> None:
     Every builder places the branch values 0 and 1, which are 1 apart, so no
     construction can succeed with a tolerance of 1 or more."""
     global _epsilon
-    value = mpf(eps)
+    try:
+        value = mpf(eps)
+    except ValueError:
+        # as in _parse_real: mpf met the interpreter's int-str limit
+        if isinstance(eps, str) and sum(map(str.isdigit, eps)) > sys.get_int_max_str_digits():
+            raise ValueError("epsilon has a number of more than %d digits"
+                             % sys.get_int_max_str_digits()) from None
+        raise
     if not (value > 0 and isfinite(value)):
         raise ValueError("epsilon must be positive and finite, got %r" % eps)
     if value >= 1:
@@ -212,9 +209,7 @@ def first_near(entry, table):
     return None
 
 
-_ZERO = (fzero, fzero)
-_ONE = (fone, fzero)
-_ZERO_TABLE = [near_entry(_ZERO)]
+_ZERO_TABLE = [near_entry((fzero, fzero))]
 
 
 def within_epsilon(z) -> bool:
@@ -429,73 +424,46 @@ def _require_distinct(points) -> None:
 
 
 def cross_ratio_lambda(p1, p2, p3, p4) -> mpc:
-    """The value t with some Mobius map sending (p1, p2, p3, p4) to (inf, 0, 1, t).
+    """The Legendre parameter t of four branch points: the value of the
+    Mobius map sending (p1, p2, p3) to (inf, 0, 1) at p4, which is the
+    cross-ratio (p4 - p2)(p3 - p1) / ((p4 - p1)(p3 - p2)).
 
-    The four points must be pairwise distinct, so the result is finite and
-    avoids 0 and 1.  After the collision check this is cross_ratio_unchecked.
+    The four points must be pairwise distinct (CollidingPoints names the
+    first pair that is not), so the result is finite and avoids 0 and 1.
+    After that check this is cross_ratio_unchecked, with its pole rule and
+    accuracy contract.
     """
     points = [p1, p2, p3, p4]
     _require_distinct(points)
-    return mp.make_mpc(cross_ratio_unchecked(
-        *[p if is_infinity(p) else to_complex(p) for p in points]))
+    return cross_ratio_unchecked(*[p if is_infinity(p) else to_complex(p) for p in points])
 
 
-def cross_ratio_unchecked(p1, p2, p3, p4) -> tuple:
-    """The raw ``_mpc_`` tuple of cross_ratio_lambda for points already known
-    to be pairwise distinct: INFINITY or finite mpc.
+def cross_ratio_unchecked(p1, p2, p3, p4, difference=operator.sub) -> mpc:
+    """cross_ratio_lambda for points already known to be pairwise distinct,
+    each INFINITY or a finite mpc: the cross-ratio
 
-    The map z -> (a z + b) / (c z + d) sending (p1, p2, p3) to (inf, 0, 1)
-    is applied to p4 with the singular-map check of MobiusMap and the pole
-    rule of MobiusMap.apply, without building the map.  The libmp
-    operations, operands, order and rounding are those of the mpc operators
-    on a, b, c, d, except that a product with the exact constant 1 is z
-    rounded (mpc_pos) and one with 0 is 0, which are the bits the
-    multiplication gives.  Both |x| <= epsilon tests go through
-    within_epsilon.
+        (p4 - p2)(p3 - p1) / ((p4 - p1)(p3 - p2))
+
+    in mpc operators, with the factors that hold inf dropped (at most one
+    point is inf).  Each pair difference is ``difference(p, q)``, p - q by
+    default; a caller may pass one that memoizes them.
+
+    Pole rule: CollidingPoints when within_epsilon holds for the
+    denominator's product (p4 - p1)(p3 - p2), which in exact arithmetic is
+    the standard map's denominator c p4 + d with c = p3 - p2.  Accuracy: the modulus error is at most
+    16 units of 2^-mp.prec of the value's modulus, against the same formula
+    at twice the working precision.
     """
-    prec, rnd = mp.prec, round_nearest
-    if is_infinity(p1):
-        z2, z3 = p2._mpc_, p3._mpc_
-        b, d = mpc_neg(z2, prec, rnd), mpc_sub(z3, z2, prec, rnd)
-        det = d                                   # 1 d - b 0
-        if is_infinity(p4):
-            num, den = _ONE, _ZERO
-        else:
-            num, den = mpc_add(mpc_pos(p4._mpc_, prec, rnd), b, prec, rnd), d
-    elif is_infinity(p2):
-        z1, z3 = p1._mpc_, p3._mpc_
-        b, d = mpc_sub(z3, z1, prec, rnd), mpc_neg(z1, prec, rnd)
-        det = mpc_neg(b, prec, rnd)               # 0 d - b 1
-        if is_infinity(p4):
-            num, den = _ZERO, _ONE
-        else:
-            num, den = b, mpc_add(mpc_pos(p4._mpc_, prec, rnd), d, prec, rnd)
-    elif is_infinity(p3):
-        z1, z2 = p1._mpc_, p2._mpc_
-        b, d = mpc_neg(z2, prec, rnd), mpc_neg(z1, prec, rnd)
-        det = mpc_sub(d, b, prec, rnd)            # 1 d - b 1
-        if is_infinity(p4):
-            num, den = _ONE, _ONE
-        else:
-            z = mpc_pos(p4._mpc_, prec, rnd)
-            num, den = mpc_add(z, b, prec, rnd), mpc_add(z, d, prec, rnd)
-    else:
-        z1, z2, z3 = p1._mpc_, p2._mpc_, p3._mpc_
-        a, c = mpc_sub(z3, z1, prec, rnd), mpc_sub(z3, z2, prec, rnd)
-        b = mpc_mul(mpc_neg(z2, prec, rnd), a, prec, rnd)
-        d = mpc_mul(mpc_neg(z1, prec, rnd), c, prec, rnd)
-        det = mpc_sub(mpc_mul(a, d, prec, rnd), mpc_mul(b, c, prec, rnd), prec, rnd)
-        if is_infinity(p4):
-            num, den = a, c
-        else:
-            z = p4._mpc_
-            num = mpc_add(mpc_mul(a, z, prec, rnd), b, prec, rnd)
-            den = mpc_add(mpc_mul(c, z, prec, rnd), d, prec, rnd)
-    if within_epsilon(det):
-        raise ValueError("Mobius map is singular: |ad - bc| <= epsilon")
-    if within_epsilon(den):
+    def product(p, q, r, s):
+        if is_infinity(p) or is_infinity(q):
+            return difference(r, s)
+        if is_infinity(r) or is_infinity(s):
+            return difference(p, q)
+        return difference(p, q) * difference(r, s)
+    den = product(p4, p1, p3, p2)
+    if within_epsilon(den._mpc_):
         raise CollidingPoints("fourth point collides with the first within tolerance")
-    return mpc_div(num, den, prec, rnd)
+    return product(p4, p2, p3, p1) / den
 
 
 def solve_quadratic(a, b, c) -> tuple[mpc, mpc]:

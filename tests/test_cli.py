@@ -327,6 +327,16 @@ def test_epsilon_of_one_or_more_exits_2(capsys):
         assert err == "error: epsilon must be below 1, got %r\n" % value
 
 
+def test_epsilon_past_the_digit_limit_exits_2(capsys):
+    # mpf reads the text through int(), which refuses more than 4300 digits
+    value = "0." + "0" * 5000 + "1"
+    status, out, err = run_cli(capsys, "construct", "irreducible", "--lambdas", "2,3,4",
+                               "--epsilon", value, "--format", "json")
+    assert status == 2
+    assert out == ""
+    assert err == "error: epsilon has a number of more than 4300 digits\n"
+
+
 def test_seed_is_a_crosscheck_option():
     for argv in (["verify", "bound", "--r", "4"], ["construct", "genus2", "--l1", "2",
                                                    "--l2", "-1"]):

@@ -174,13 +174,17 @@ def test_cross_ratio_rejects_collisions():
         cross_ratio_lambda(INFINITY, 0, 1, 1 + 1e-12)
 
 
-def test_cross_ratio_singular_standard_map():
-    # p1, p2, p3 are distinct but |ad - bc| = 2e-12 for the map sending them
-    # to (inf, 0, 1)
-    with pytest.raises(ValueError) as info:
-        cross_ratio_lambda(0, 1e-4, 2e-4, 5)
-    assert type(info.value) is ValueError
-    assert str(info.value) == "Mobius map is singular: |ad - bc| <= epsilon"
+def test_cross_ratio_coincident_triple_collides():
+    # no map sends three points that coincide within tolerance to (inf, 0, 1)
+    with pytest.raises(CollidingPoints) as info:
+        cross_ratio_lambda(0, 1e-12, 2e-12, 5)
+    assert str(info.value).startswith("points 0 and ")
+
+
+def test_cross_ratio_close_distinct_triple_is_finite():
+    # p1, p2, p3 are distinct; the standard map's |ad - bc| = 2e-12 lies
+    # within epsilon, but the cross-ratio (5 - 1e-4) 2e-4 / (5 1e-4) is finite
+    assert close(cross_ratio_lambda(0, 1e-4, 2e-4, 5), mpf("1.99996"))
 
 
 def test_cross_ratio_pole_names_first_point():

@@ -2,11 +2,13 @@
 explicit spans, the sort-and-sweep collision search against the full
 pairwise scan, the prefiltered first_near against a linear close scan,
 within_epsilon against the mpc modulus test, orbit tagging against the
-first-candidate scan, cross_ratio_lambda against the Mobius map it stands
-for, the solver oracles' distinct points after admission, the sampled equation identity against its one-product-per-equation
-reference loop, its integer arithmetic against libmp's mpc_mul, mpc_add
-and mpc_sub, and parse_complex against the literal grammar built from its
-parts."""
+first-candidate scan, cross_ratio_lambda against the cross-ratio formula
+at twice the precision, the solver oracles' distinct points after
+admission, the sampled equation identity against its
+one-product-per-equation reference loop, its integer arithmetic against
+libmp's mpc_mul, mpc_add and mpc_sub, the two-component equations against
+the cover's quotient branch sets, and parse_complex against the literal
+grammar built from its parts."""
 
 import math
 import random
@@ -34,7 +36,6 @@ from jacdecomp.numerics import (
     INFINITY,
     CollidingPoints,
     DomainError,
-    MobiusMap,
     close,
     cross_ratio_lambda,
     epsilon,
@@ -45,10 +46,13 @@ from jacdecomp.numerics import (
     near_table,
     point_sort_key,
     points_equal,
-    to_complex,
 )
 
-from helpers import _sampled_errors_one_form_product_per_equation, random_cover_model
+from helpers import (
+    _sampled_errors_one_form_product_per_equation,
+    boundary_values,
+    random_cover_model,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -287,46 +291,16 @@ def test_orbit_tags_match_first_candidate_scan(argv):
         None if tag is None else format_point(tag) for tag in want]
 
 
-def _standard_coefficients(p1, p2, p3):
-    """(a, b, c, d) of the map z -> (a z + b) / (c z + d) sending (p1, p2,
-    p3) to (inf, 0, 1), written with mpc operators."""
-    if is_infinity(p1):
-        z2, z3 = to_complex(p2), to_complex(p3)
-        return mpc(1), -z2, mpc(0), z3 - z2
-    if is_infinity(p2):
-        z1, z3 = to_complex(p1), to_complex(p3)
-        return mpc(0), z3 - z1, mpc(1), -z1
-    if is_infinity(p3):
-        z1, z2 = to_complex(p1), to_complex(p2)
-        return mpc(1), -z2, mpc(1), -z1
-    z1, z2, z3 = to_complex(p1), to_complex(p2), to_complex(p3)
-    return z3 - z1, -z2 * (z3 - z1), z3 - z2, -z1 * (z3 - z2)
+def _reference_cross_ratio(points):
+    """(p4 - p2)(p3 - p1) / ((p4 - p1)(p3 - p2)) and its denominator at twice
+    the working precision, a factor that holds inf read as 1."""
+    p1, p2, p3, p4 = points
 
-
-def _reference_cross_ratio(p1, p2, p3, p4):
-    """cross_ratio_lambda written as the composition it stands for: the
-    four-point and three-point collision checks, the map sending (p1, p2,
-    p3) to (inf, 0, 1) built as a MobiusMap, that map applied to p4, then
-    the pole rule."""
-    numerics._require_distinct([p1, p2, p3, p4])
-    numerics._require_distinct([p1, p2, p3])
-    value = MobiusMap(*_standard_coefficients(p1, p2, p3)).apply(p4)
-    if is_infinity(value):
-        raise CollidingPoints("fourth point collides with the first within tolerance")
-    return value
-
-
-def _tested_modulus(points, test):
-    """|ad - bc| ("det") or the pole test's |c p4 + d| ("den")."""
-    a, b, c, d = _standard_coefficients(*points[:3])
-    if test == "det":
-        return abs(a * d - b * c)
-    p4 = points[3]
-    return abs(c if is_infinity(p4) else c * to_complex(p4) + d)
-
-
-def _unchecked_cross_ratio(*points):
-    return mp.make_mpc(numerics.cross_ratio_unchecked(*points))
+    def factor(p, q):
+        return mpc(1) if is_infinity(p) or is_infinity(q) else p - q
+    with mp.workprec(2 * mp.prec):
+        den = factor(p4, p1) * factor(p3, p2)
+        return factor(p4, p2) * factor(p3, p1) / den, den
 
 
 def _outcome(function, points):
@@ -338,8 +312,9 @@ def _outcome(function, points):
     return "value", value._mpc_
 
 
+_POLE = ("raise", CollidingPoints, "fourth point collides with the first within tolerance")
 # a cluster center: mantissas up to 10 in size times 10^k, |k| <= 300, often
-# near 1 so that the singular and pole branches are reached
+# near 1 so that the pole rule is reached
 _CENTERS = st.tuples(st.floats(-10, 10), st.floats(-10, 10),
                      st.one_of(st.integers(-3, 1), st.integers(-300, 300)))
 # a point: (center index, offset in units of 1e-5, direction)
@@ -357,14 +332,15 @@ def cross_ratio_inputs(draw):
 
 
 @settings(max_examples=600, deadline=None)
-@given(cross_ratio_inputs(), st.sampled_from([None, "det", "den"]), st.integers(-3, 3))
-def test_cross_ratio_lambda_is_the_standard_map_applied(inputs, near, ulps):
-    """cross_ratio_lambda against its composition, and on pairwise-distinct
-    points its unchecked kernel too.  With ``near`` set, epsilon is moved to
-    within ``ulps`` units in the last place of the singular-map or the pole
-    test's modulus, so the kernel's double decision must defer there."""
+@given(cross_ratio_inputs())
+def test_cross_ratio_lambda_meets_its_accuracy_contract(inputs):
+    """cross_ratio_lambda, and on pairwise-distinct points its unchecked
+    kernel, against the cross-ratio formula at twice the working precision:
+    colliding points raise the collision error; otherwise a denominator
+    within epsilon raises the pole error, and any other value is off by at
+    most 16 units of 2^-prec of its modulus."""
     bits, inf_at, centers, members = inputs
-    saved = mp.prec, epsilon()
+    saved = mp.prec
     mp.prec = bits
     try:
         # divided by 3 so the mantissas are full at the working precision
@@ -373,17 +349,47 @@ def test_cross_ratio_lambda_is_the_standard_map_applied(inputs, near, ulps):
                   for index, step, direction in members]
         if inf_at is not None:
             points[inf_at] = INFINITY
-        if near is not None:
-            size = _tested_modulus(points, near)
-            assume(0 < size < mpf("0.5"))
-            numerics.set_epsilon(size * (1 + ulps * mpf(2) ** (1 - bits)))
-        want = _outcome(_reference_cross_ratio, points)
-        assert _outcome(cross_ratio_lambda, points) == want
-        if first_collision(points) is None:
-            assert _outcome(_unchecked_cross_ratio, points) == want
+        got = _outcome(cross_ratio_lambda, points)
+        pair = first_collision(points)
+        if pair is not None:
+            assert got == ("raise", CollidingPoints, "points %s and %s coincide within "
+                           "tolerance" % tuple(format_point(points[k]) for k in pair))
+            return
+        assert _outcome(numerics.cross_ratio_unchecked, points) == got
+        want, den = _reference_cross_ratio(points)
+        # the kernel's denominator is within a few units of 2^-prec of den
+        assume(abs(abs(den) - epsilon()) > epsilon() * mpf(2) ** (8 - bits))
+        if abs(den) <= epsilon():
+            assert got == _POLE
+            return
+        assert got[0] == "value"
+        with mp.workprec(2 * bits):
+            assert abs(mp.make_mpc(got[1]) - want) <= 16 * mpf(2) ** -bits * abs(want)
     finally:
-        mp.prec = saved[0]
-        numerics.set_epsilon(saved[1])
+        mp.prec = saved
+
+
+@pytest.mark.parametrize("eps", ["1e-30", "1e-9", "0.25"])
+@pytest.mark.parametrize("bits", [53, 128, 256])
+def test_cross_ratio_pole_rule_at_the_boundary(eps, bits):
+    """The pole rule at denominators (p4 - p1)(p3 - p2) of modulus
+    epsilon * (1 -/+ 2^-30), formed exactly, with inf in each position that
+    leaves a factor: the pole error exactly when the mpc modulus is within
+    epsilon."""
+    saved = mp.prec
+    mp.prec = bits
+    numerics.set_epsilon(eps)
+    try:
+        for v in boundary_values():
+            inside = abs(v) <= epsilon()
+            for points in ([mpc(0), mpc(1), mpc(3), v / 2], [mpc(0), INFINITY, mpc(1), v],
+                           [mpc(0), mpc(1), INFINITY, v], [mpc(1), mpc(0), v, INFINITY],
+                           [INFINITY, mpc(0), v, mpc(1)]):
+                got = _outcome(numerics.cross_ratio_unchecked, points)
+                assert (got == _POLE) == inside
+                assert inside or got[0] == "value"
+    finally:
+        mp.prec = saved
 
 
 _PLANE = st.builds(complex, st.floats(-4, 4), st.floats(-4, 4))
@@ -447,7 +453,7 @@ def test_admitted_root_leaves_its_oracle_points_distinct(eps, step):
         assert params.mu[-1] == (mu, ratio * mu)
         for points in ([INFINITY, mpc(0), mu, ratio * mu], [mpc(1), lam, mu, ratio * mu]):
             assert first_collision(points) is None
-            assert _outcome(_unchecked_cross_ratio, points) == _outcome(
+            assert _outcome(numerics.cross_ratio_unchecked, points) == _outcome(
                 cross_ratio_lambda, points)
     finally:
         numerics.set_epsilon(saved)
@@ -551,6 +557,38 @@ def test_sampled_identity_errors_match_reference_on_any_equation_subset(case):
         samples = [_sample(*recipe) for recipe in recipes]
         assert constructions.sampled_identity_errors(params, subset, samples) == \
             _sampled_errors_one_form_product_per_equation(params, subset, samples)
+    finally:
+        mp.prec = saved
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([53, 128, 256]), st.integers(3, 9), st.integers(0, 2 ** 32))
+def test_equations_agree_with_quotient_branch_sets_for_every_s(bits, s, seed):
+    """The roots of the equation with pattern alpha are 1/(p - pivot) over
+    the branch points p of build_reducible(params) that pair oddly with
+    alpha_to_functional(alpha): inf maps to 0 and the pivot is dropped (it
+    maps to inf, which leaves an odd number of roots)."""
+    saved = mp.prec
+    mp.prec = bits
+    try:
+        draw = [v / 3 for v in random_admissible(random.Random(seed), 2 * s - 3)]
+        params = constructions.ReducibleParams(draw[0], tuple(
+            (draw[1 + 2 * k], draw[2 + 2 * k]) for k in range(s - 2)))
+        model = constructions.build_reducible(params)
+        pivot = params.mu[-1][1]
+        equations = constructions.derive_equations_reducible(params)
+        assert len(equations) == (1 << (s - 1)) - 1
+        for eq in equations:
+            functional = constructions.alpha_to_functional(eq.alpha)
+            odd = [p for p, vector in model.branch if pairing(functional, vector)]
+            finite = [p for p in odd if is_infinity(p) or p != pivot]
+            assert (len(eq.roots) % 2 == 1) == (len(finite) < len(odd))
+            got = list(eq.roots)
+            assert len(got) == len(finite)
+            for p in finite:
+                want = mpc(0) if is_infinity(p) else 1 / (p - pivot)
+                k = min(range(len(got)), key=lambda i: abs(got[i] - want))
+                assert abs(got.pop(k) - want) <= mpf(2) ** (4 - bits) * abs(want)
     finally:
         mp.prec = saved
 
