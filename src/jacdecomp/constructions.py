@@ -563,28 +563,17 @@ def tag_factors(report: DecompositionReport, candidates,
     invariant is cross_ratio_unchecked of the factor's roots, with its pole
     rule and accuracy contract: the roots are branch points of one
     CoverModel, which has already checked them for collisions with the
-    same points_equal rule.  The roots are the model's own point objects,
-    so each difference p - q is formed once per call, keyed by the points'
-    identities, and shared by every factor holding both points; the values
-    are those of cross_ratio_lambda.  One double copy of each invariant
-    serves the admissibility test and the orbit scan."""
+    same points_equal rule.  One double copy of each invariant serves the
+    admissibility test and the orbit scan."""
     orbits = OrbitTable() if orbits is None else orbits
     owners, table = [], []
     for candidate in candidates:
         entries = orbits.orbit(candidate)
         owners.extend([candidate] * len(entries))
         table.extend(entries)
-    differences: dict = {}
-
-    def difference(p, q):
-        key = id(p), id(q)
-        value = differences.get(key)
-        if value is None:
-            value = differences[key] = p - q
-        return value
 
     def tag(curve):
-        invariant = cross_ratio_unchecked(*curve.roots, difference)
+        invariant = cross_ratio_unchecked(*curve.roots)
         k = first_near(admissible_entry(invariant._mpc_), table)
         return invariant if k is None else owners[k]
     return [tag(curve) if curve.genus == 1 else None for _, curve in report.factors]
@@ -803,20 +792,12 @@ def _sub(x, y, prec: int) -> tuple:
             *_sum(x[2], x[3], -y[2], y[3], prec))
 
 
-def _double(man: int, exp: int) -> float:
-    """man 2^exp as a double from the top 64 bits of man, a relative change
-    below 2^-63, so that a mantissa of any length converts; OverflowError
-    beyond the double range."""
-    n = man.bit_length() - 64
-    return ldexp(man >> n, exp + n) if n > 0 else ldexp(man, exp)
-
-
-def _error_estimate(d, raw, shift: int):
-    """2^shift |d| / (1 + |raw|) in doubles, or None when a double copy
-    overflows or the estimate is not a finite normal number."""
+def _error_estimate(d, raw):
+    """|d| / (1 + |raw|) in doubles, or None when a double copy overflows
+    or the estimate is not a finite normal number."""
     try:
-        estimate = hypot(_double(d[0], d[1] + shift), _double(d[2], d[3] + shift)) / (
-            1.0 + hypot(_double(raw[0], raw[1]), _double(raw[2], raw[3])))
+        estimate = hypot(ldexp(d[0], d[1]), ldexp(d[2], d[3])) / (
+            1.0 + hypot(ldexp(raw[0], raw[1]), ldexp(raw[2], raw[3])))
     except OverflowError:
         return None
     return estimate if _NORMAL_MIN <= estimate <= _DOUBLE_MAX else None
@@ -854,27 +835,22 @@ def sampled_identity_errors(params: ReducibleParams, equations, samples) -> list
     is taken).  That is how mpc_mul, mpc_add and mpc_sub round, so every
     value is bit for bit the mpc operators' value.
 
-    Error step.  Each d is first estimated as 2^(mp.prec - 53) |d| /
-    (1 + |raw|) in doubles.  The power of two puts the rounding residue d
-    of every precision on its scale at 53 bits, so the estimate stays a
-    normal double where |d| itself lies below the double range (from about
-    1,050 bits on).  Each part keeps the top 64 bits of its mantissa (a
-    relative change below 2^-63) and is then converted with its exponent,
-    shifted exactly, which moves it by at most a relative 2^-53 more (or
-    2^-1074 below the normal range, which is under 2^-52 of an estimate not
-    below 2^-1022, as 1 + |raw| >= 1); the two hypot calls, the addition
-    and the division add a few units more; and the exact formula (mpc_abs,
-    mpf_add, mpf_div at mp.prec >= 53 bits and to_float) rounds four times
-    by at most 2^-53.  So the estimate lies within about 2^-49 of 2^(mp.prec
-    - 53) times the exact error, relatively.  Each equation keeps the
-    samples whose estimate is at least (1 - 2^-40) times its largest
-    estimate so far, and only those left at the end run the exact formula,
-    unchanged: any other sample's exact error lies below that of the sample
-    with the largest estimate, so it cannot hold the maximum (to_float is
-    monotone, subnormal results included).  A d whose double copies
-    overflow, or whose estimate is not a finite normal number, is always
-    evaluated exactly and never used to prune; a d of 0 has error 0.0
-    exactly.  So every error is bit for bit
+    Error step.  Each d is first estimated as |d| / (1 + |raw|) in
+    doubles.  A conversion of a part moves it by at most a relative 2^-53
+    (or 2^-1074 below the normal range, which is under 2^-52 of an estimate
+    not below 2^-1022, as 1 + |raw| >= 1); the two hypot calls, the
+    addition and the division add a few units more; and the exact formula
+    (mpc_abs, mpf_add, mpf_div at mp.prec >= 53 bits and to_float) rounds
+    four times by at most 2^-53.  So the estimate lies within about 2^-49
+    of the exact error, relatively.  Each equation keeps the samples whose
+    estimate is at least (1 - 2^-40) times its largest estimate so far,
+    and only those left at the end run the exact formula, unchanged: any
+    other sample's exact error lies below that of the sample with the
+    largest estimate, so it cannot hold the maximum.  A d whose double
+    copies overflow (as every mantissa longer than 1,024 bits does), or
+    whose estimate is not a finite normal number, is always evaluated
+    exactly and never used to prune; a d of 0 has error 0.0 exactly.  So
+    every error is bit for bit
     ``float(abs(eq.evaluate(z) - raw) / (1 + abs(raw)))``.
     """
     prec = mp.prec
@@ -916,7 +892,7 @@ def sampled_identity_errors(params: ReducibleParams, equations, samples) -> list
             d = _sub(expanded, raw, prec)
             if not (d[0] or d[2]):
                 continue
-            estimate = _error_estimate(d, raw, prec - 53)
+            estimate = _error_estimate(d, raw)
             if estimate is None:
                 errors[k] = max(errors[k], _error(d, raw, prec))
             elif estimate >= largest[k] * _BAND:

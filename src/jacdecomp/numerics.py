@@ -9,7 +9,6 @@ single global tolerance, default 1e-9.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import re
 import sys
@@ -53,14 +52,7 @@ def set_epsilon(eps) -> None:
     Every builder places the branch values 0 and 1, which are 1 apart, so no
     construction can succeed with a tolerance of 1 or more."""
     global _epsilon
-    try:
-        value = mpf(eps)
-    except ValueError:
-        # as in _parse_real: mpf met the interpreter's int-str limit
-        if isinstance(eps, str) and sum(map(str.isdigit, eps)) > sys.get_int_max_str_digits():
-            raise ValueError("epsilon has a number of more than %d digits"
-                             % sys.get_int_max_str_digits()) from None
-        raise
+    value = _read_number(eps, "epsilon") if isinstance(eps, str) else mpf(eps)
     if not (value > 0 and isfinite(value)):
         raise ValueError("epsilon must be positive and finite, got %r" % eps)
     if value >= 1:
@@ -355,18 +347,32 @@ def _double_range(z: mpc, text: str) -> mpc:
     return z
 
 
+_NUMBER = re.compile(_BODY)
+
+
+def _read_number(token: str, name: str) -> mpf:
+    """mpf of ``token``, or a ValueError that names ``name`` and the digit
+    limit when token is a body of the grammar that mpf cannot read.
+
+    mpf reads every such body as float() does, then converts its digits
+    and its exponent with int(), so the only body it refuses is one that
+    meets the interpreter's limit on int-str conversion.  Any other token
+    that mpf refuses keeps mpf's own error."""
+    try:
+        return mpf(token)
+    except ValueError:
+        if _NUMBER.fullmatch(token.strip()) is None:
+            raise
+    raise ValueError("%s has a number of more than %d digits"
+                     % (name, sys.get_int_max_str_digits()))
+
+
 def _parse_real(token: str, text: str) -> mpf:
     """The value of a body, a decimal or p/q, of the literal ``text``, which
     every message names."""
     num, slash, den = token.partition("/")
-    try:
-        value = mpf(num)
-        d = mpf(den) if slash else None
-    except ValueError:
-        # the grammar admits decimals only, so mpf met the interpreter's
-        # limit on int-str conversion
-        raise ValueError("literal %r has a number of more than %d digits"
-                         % (text, sys.get_int_max_str_digits())) from None
+    value = _read_number(num, "literal %r" % text)
+    d = _read_number(den, "literal %r" % text) if slash else None
     if d is None:
         return value
     if d == 0:
@@ -438,28 +444,27 @@ def cross_ratio_lambda(p1, p2, p3, p4) -> mpc:
     return cross_ratio_unchecked(*[p if is_infinity(p) else to_complex(p) for p in points])
 
 
-def cross_ratio_unchecked(p1, p2, p3, p4, difference=operator.sub) -> mpc:
+def cross_ratio_unchecked(p1, p2, p3, p4) -> mpc:
     """cross_ratio_lambda for points already known to be pairwise distinct,
     each INFINITY or a finite mpc: the cross-ratio
 
         (p4 - p2)(p3 - p1) / ((p4 - p1)(p3 - p2))
 
     in mpc operators, with the factors that hold inf dropped (at most one
-    point is inf).  Each pair difference is ``difference(p, q)``, p - q by
-    default; a caller may pass one that memoizes them.
+    point is inf).
 
     Pole rule: CollidingPoints when within_epsilon holds for the
     denominator's product (p4 - p1)(p3 - p2), which in exact arithmetic is
-    the standard map's denominator c p4 + d with c = p3 - p2.  Accuracy: the modulus error is at most
-    16 units of 2^-mp.prec of the value's modulus, against the same formula
-    at twice the working precision.
+    the standard map's denominator c p4 + d with c = p3 - p2.  Accuracy:
+    the modulus error is at most 16 units of 2^-mp.prec of the value's
+    modulus, against the same formula at twice the working precision.
     """
     def product(p, q, r, s):
         if is_infinity(p) or is_infinity(q):
-            return difference(r, s)
+            return r - s
         if is_infinity(r) or is_infinity(s):
-            return difference(p, q)
-        return difference(p, q) * difference(r, s)
+            return p - q
+        return (p - q) * (r - s)
     den = product(p4, p1, p3, p2)
     if within_epsilon(den._mpc_):
         raise CollidingPoints("fourth point collides with the first within tolerance")

@@ -335,6 +335,13 @@ def test_epsilon_past_the_digit_limit_exits_2(capsys):
     assert status == 2
     assert out == ""
     assert err == "error: epsilon has a number of more than 4300 digits\n"
+    # a malformed value keeps mpf's own message, however many digits it holds
+    value = "x" + "1" * 5000
+    status, out, err = run_cli(capsys, "construct", "irreducible", "--lambdas", "2,3,4",
+                               "--epsilon", value, "--format", "json")
+    assert status == 2
+    assert out == ""
+    assert err == "error: could not convert string to float: %r\n" % value
 
 
 def test_seed_is_a_crosscheck_option():

@@ -72,7 +72,8 @@ CASES = {
     # at 53 bits every product of the double-valued draws rounds
     "verify_crosscheck_s5_p53": ["verify", "crosscheck", "--s", "5", "--seed", "7",
                                  "--precision", "53"],
-    # mantissas of 1,024 bits and more do not convert to a double directly
+    # every error underflows to "0" at 1,100 bits, so this pins only the
+    # command's output at long mantissas, not which sample held a maximum
     "verify_crosscheck_s5_p1100": ["verify", "crosscheck", "--s", "5", "--seed", "7",
                                    "--precision", "1100"],
     "verify_identities_max6": ["verify", "identities", "--max", "6"],
