@@ -76,6 +76,9 @@ CASES = {
     # command's output at long mantissas, not which sample held a maximum
     "verify_crosscheck_s5_p1100": ["verify", "crosscheck", "--s", "5", "--seed", "7",
                                    "--precision", "1100"],
+    # the one error of the corpus below the normal double range (1.38e-308)
+    "verify_crosscheck_s5_p1024": ["verify", "crosscheck", "--s", "5", "--seed", "7",
+                                   "--precision", "1024"],
     "verify_identities_max6": ["verify", "identities", "--max", "6"],
     "verify_bound_r6": ["verify", "bound", "--r", "6"],
     "verify_bound_r7": ["verify", "bound", "--r", "7"],
