@@ -11,21 +11,11 @@ independent cross-ratio oracles.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from math import hypot, ldexp
 from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf, sqrt
-from mpmath.libmp import (
-    fone,
-    from_man_exp,
-    mpc_abs,
-    mpf_add,
-    mpf_div,
-    round_nearest,
-    to_float,
-)
 
 from .cover import CoverModel, DecompositionReport, FactorCurve, decompose
 from .legendre import (
@@ -709,13 +699,7 @@ def compare_with_reference(equations, reference) -> list[EquationComparison]:
 
 # The sampled identity runs on complex values held as signed integers
 # (re_man, re_exp, im_man, im_exp): each part is man * 2^exp with man odd,
-# or man = 0.  A sum whose operands' exponents lie more than 100 bits apart
-# may take mpf_add's own far-operand path (see _sum).
-_FAR = 100
-# Slack of the error-step prefilter (see sampled_identity_errors).
-_BAND = 1.0 - 2.0 ** -40
-_NORMAL_MIN = sys.float_info.min
-_DOUBLE_MAX = sys.float_info.max
+# or man = 0.
 
 
 def _int_part(x) -> tuple:
@@ -729,37 +713,17 @@ def _int_complex(z) -> tuple:
     return (*_int_part(z[0]), *_int_part(z[1]))
 
 
-def _mpc_complex(x) -> tuple:
-    """The raw ``_mpc_`` tuple of an _int_complex value."""
-    return from_man_exp(x[0], x[1]), from_man_exp(x[2], x[3])
-
-
 def _sum(m1: int, e1: int, m2: int, e2: int, prec: int) -> tuple:
-    """m1 2^e1 + m2 2^e2, each mantissa odd or 0, rounded to prec bits,
-    nearest-even, as (man, exp) with man odd or 0: bit for bit mpf_add on
-    the two exact operands.
-
-    The exact sum is formed on the smaller exponent and rounded once.  That
-    is what mpf_add does unless both operands are nonzero, their exponents
-    (those of odd mantissas, as in mpf_add) lie more than 100 bits apart
-    and their leading bits more than prec + 4.  There mpf_add replaces the
-    smaller operand by a one-unit perturbation below the larger one; on an
-    exact product longer than prec + 4 bits that can round differently from
-    the exact sum, so such a sum is handed to mpf_add itself."""
+    """m1 2^e1 + m2 2^e2, formed exactly and rounded once to prec bits,
+    nearest-even, as (man, exp) with man odd or 0."""
     if not m2:
         m, e = m1, e1
     elif not m1:
         m, e = m2, e2
+    elif e1 >= e2:
+        m, e = (m1 << (e1 - e2)) + m2, e2
     else:
-        offset = e1 - e2
-        if (offset > _FAR or offset < -_FAR) and abs(
-                offset + m1.bit_length() - m2.bit_length()) > prec + 4:
-            return _int_part(mpf_add(from_man_exp(m1, e1), from_man_exp(m2, e2),
-                                     prec, round_nearest))
-        if offset >= 0:
-            m, e = (m1 << offset) + m2, e2
-        else:
-            m, e = m1 + (m2 << -offset), e1
+        m, e = m1 + (m2 << (e2 - e1)), e1
     n = m.bit_length() - prec
     if n > 0:
         # floor shift, plus one above the half and at the half of an odd quotient
@@ -792,24 +756,38 @@ def _sub(x, y, prec: int) -> tuple:
             *_sum(x[2], x[3], -y[2], y[3], prec))
 
 
-def _error_estimate(d, raw):
-    """|d| / (1 + |raw|) in doubles, or None when a double copy overflows
-    or the estimate is not a finite normal number."""
+def _modulus(z) -> tuple:
+    """(h, e) with |z| = h 2^e for a nonzero z, h a double in [1/2, 2): each
+    part is read from the top 64 bits of its mantissa and scaled to below 1
+    before hypot."""
+    m1, e1, m2, e2 = z
+    n1, n2 = m1.bit_length(), m2.bit_length()
+    top = max(n1 + e1 if m1 else n2 + e2, n2 + e2 if m2 else n1 + e1)
+    if n1 > 64:
+        m1 >>= n1 - 64
+        e1 += n1 - 64
+    if n2 > 64:
+        m2 >>= n2 - 64
+        e2 += n2 - 64
+    return hypot(ldexp(m1, e1 - top), ldexp(m2, e2 - top)), top
+
+
+def _error(d, raw) -> float:
+    """|d| / (1 + |raw|) as a double, d nonzero, within 2^-49 relative (plus
+    2^-1074 absolute) of float(abs(d) / (1 + abs(raw))) in mpc operators.
+    The exponents stay apart until the last ldexp, so no step overflows; an
+    error beyond the double range is inf."""
+    h, e = _modulus(d)
+    if raw[0] or raw[2]:
+        r, top = _modulus(raw)
+        if top > 0:
+            h, e = h / (ldexp(1.0, -top) + r), e - top
+        else:
+            h /= 1.0 + ldexp(r, top)
     try:
-        estimate = hypot(ldexp(d[0], d[1]), ldexp(d[2], d[3])) / (
-            1.0 + hypot(ldexp(raw[0], raw[1]), ldexp(raw[2], raw[3])))
+        return ldexp(h, e)
     except OverflowError:
-        return None
-    return estimate if _NORMAL_MIN <= estimate <= _DOUBLE_MAX else None
-
-
-def _error(d, raw, prec: int) -> float:
-    """float(abs(d) / (1 + abs(raw))) with the libmp operations of the mpc
-    operators, d being the rounded difference expanded - raw."""
-    rnd = round_nearest
-    return to_float(mpf_div(mpc_abs(_mpc_complex(d), prec, rnd),
-                            mpf_add(mpc_abs(_mpc_complex(raw), prec, rnd), fone, prec, rnd),
-                            prec, rnd), rnd=rnd)
+        return float("inf")
 
 
 def sampled_identity_errors(params: ReducibleParams, equations, samples) -> list[float]:
@@ -827,31 +805,15 @@ def sampled_identity_errors(params: ReducibleParams, equations, samples) -> list
     equation holding that root.
 
     Arithmetic.  Forms, constants, roots and samples are converted once to
-    signed integer mantissas and exponents.  The form values const +
-    coeff z, the table, the differences, the expanded chains and d =
-    expanded - raw are then formed, operation by operation, from exact
-    integer part products and sums rounded once per part to mp.prec bits,
-    nearest-even (_sum states the one exception, where mpf_add's own path
-    is taken).  That is how mpc_mul, mpc_add and mpc_sub round, so every
-    value is bit for bit the mpc operators' value.
+    signed integer mantissas and exponents.  Every real and imaginary part
+    of the form values, the table, the differences, the expanded chains and
+    d = expanded - raw is the exact result of its integer part products and
+    sums, rounded once to mp.prec bits, nearest-even (_sum).
 
-    Error step.  Each d is first estimated as |d| / (1 + |raw|) in
-    doubles.  A conversion of a part moves it by at most a relative 2^-53
-    (or 2^-1074 below the normal range, which is under 2^-52 of an estimate
-    not below 2^-1022, as 1 + |raw| >= 1); the two hypot calls, the
-    addition and the division add a few units more; and the exact formula
-    (mpc_abs, mpf_add, mpf_div at mp.prec >= 53 bits and to_float) rounds
-    four times by at most 2^-53.  So the estimate lies within about 2^-49
-    of the exact error, relatively.  Each equation keeps the samples whose
-    estimate is at least (1 - 2^-40) times its largest estimate so far,
-    and only those left at the end run the exact formula, unchanged: any
-    other sample's exact error lies below that of the sample with the
-    largest estimate, so it cannot hold the maximum.  A d whose double
-    copies overflow (as every mantissa longer than 1,024 bits does), or
-    whose estimate is not a finite normal number, is always evaluated
-    exactly and never used to prune; a d of 0 has error 0.0 exactly.  So
-    every error is bit for bit
-    ``float(abs(eq.evaluate(z) - raw) / (1 + abs(raw)))``.
+    Error.  Each nonzero d gives |d| / (1 + |raw|) as a double (_error),
+    within 2^-49 relative (plus 2^-1074 absolute) of
+    ``float(abs(d) / (1 + abs(raw)))`` in mpc operators; a d of 0 has error
+    0.0 exactly.
     """
     prec = mp.prec
     *groups, last = [[(_int_complex(const._mpc_), _int_complex(coeff._mpc_))
@@ -869,8 +831,6 @@ def sampled_identity_errors(params: ReducibleParams, equations, samples) -> list
     roots = [_int_complex(root) for root in distinct]
     one = (1, 0, 0, 0)  # the value 1 as _int_complex gives it
     errors = [0.0] * len(equations)
-    largest = [0.0] * len(equations)
-    kept: list[list] = [[] for _ in equations]
     for z in samples:
         z = _int_complex(to_complex(z)._mpc_)
         table = [one]
@@ -890,17 +850,6 @@ def sampled_identity_errors(params: ReducibleParams, equations, samples) -> list
                 expanded = _mul(expanded, differences[i], prec)
             raw = table[mask]
             d = _sub(expanded, raw, prec)
-            if not (d[0] or d[2]):
-                continue
-            estimate = _error_estimate(d, raw)
-            if estimate is None:
-                errors[k] = max(errors[k], _error(d, raw, prec))
-            elif estimate >= largest[k] * _BAND:
-                if estimate > largest[k]:
-                    largest[k] = estimate
-                    kept[k] = [entry for entry in kept[k] if entry[0] >= estimate * _BAND]
-                kept[k].append((estimate, d, raw))
-    for k, entries in enumerate(kept):
-        for _, d, raw in entries:
-            errors[k] = max(errors[k], _error(d, raw, prec))
+            if d[0] or d[2]:
+                errors[k] = max(errors[k], _error(d, raw))
     return errors

@@ -18,7 +18,6 @@ from .numerics import (  # noqa: F401
     DomainError,
     MobiusMap,
     NotInvolution,
-    close,
     cross_ratio_lambda,
     first_collision,
     first_near,
@@ -112,7 +111,8 @@ class OrbitTable:
         return entries
 
     def same_curve(self, l1, l2) -> bool:
-        """same_curve(l1, l2), with the orbit of l1 from this table."""
+        """True when l2 lies within tolerance of an orbit image of l1, whose
+        orbit comes from this table."""
         entry = admissible_entry(to_complex(l2)._mpc_)
         return first_near(entry, self.orbit(l1)) is not None
 
@@ -125,9 +125,9 @@ def j_invariant(value) -> mpc:
 
 
 def same_curve(l1, l2) -> bool:
-    """True when the two parameters describe isomorphic genus-1 curves."""
-    l2 = require_admissible(l2)
-    return any(close(l2, v) for v in s3_orbit(l1))
+    """True when the two parameters describe isomorphic genus-1 curves
+    (one lookup in a fresh OrbitTable)."""
+    return OrbitTable().same_curve(l1, l2)
 
 
 def random_admissible(rng: random.Random, count: int) -> list[mpc]:

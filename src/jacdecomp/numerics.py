@@ -47,12 +47,18 @@ def set_precision(bits: int) -> None:
 
 
 def set_epsilon(eps) -> None:
-    """Set the global comparison tolerance, in (0, 1).
+    """Set the global comparison tolerance, in (0, 1); a string must be a
+    body of the literal grammar, a decimal or p/q.
 
     Every builder places the branch values 0 and 1, which are 1 apart, so no
     construction can succeed with a tolerance of 1 or more."""
     global _epsilon
-    value = _read_number(eps, "epsilon") if isinstance(eps, str) else mpf(eps)
+    if isinstance(eps, str):
+        if _NUMBER.fullmatch(eps.strip()) is None:
+            raise ValueError("epsilon must be a decimal or p/q number, got %r" % eps)
+        value = _parse_real(eps.strip(), eps, "epsilon")
+    else:
+        value = mpf(eps)
     if not (value > 0 and isfinite(value)):
         raise ValueError("epsilon must be positive and finite, got %r" % eps)
     if value >= 1:
@@ -351,32 +357,30 @@ _NUMBER = re.compile(_BODY)
 
 
 def _read_number(token: str, name: str) -> mpf:
-    """mpf of ``token``, or a ValueError that names ``name`` and the digit
-    limit when token is a body of the grammar that mpf cannot read.
+    """mpf of ``token``, a decimal of the grammar, or a ValueError that names
+    ``name`` and the digit limit when mpf cannot read it.
 
-    mpf reads every such body as float() does, then converts its digits
+    mpf reads every such decimal as float() does, then converts its digits
     and its exponent with int(), so the only body it refuses is one that
-    meets the interpreter's limit on int-str conversion.  Any other token
-    that mpf refuses keeps mpf's own error."""
+    meets the interpreter's limit on int-str conversion."""
     try:
         return mpf(token)
     except ValueError:
-        if _NUMBER.fullmatch(token.strip()) is None:
-            raise
-    raise ValueError("%s has a number of more than %d digits"
-                     % (name, sys.get_int_max_str_digits()))
+        raise ValueError("%s has a number of more than %d digits"
+                         % (name, sys.get_int_max_str_digits())) from None
 
 
-def _parse_real(token: str, text: str) -> mpf:
+def _parse_real(token: str, text: str, option: str = "") -> mpf:
     """The value of a body, a decimal or p/q, of the literal ``text``, which
-    every message names."""
+    every message names, or of the value ``text`` of ``option``."""
+    name = option or "literal %r" % text
     num, slash, den = token.partition("/")
-    value = _read_number(num, "literal %r" % text)
-    d = _read_number(den, "literal %r" % text) if slash else None
+    value = _read_number(num, name)
+    d = _read_number(den, name) if slash else None
     if d is None:
         return value
     if d == 0:
-        raise ValueError("zero denominator in %r" % text)
+        raise ValueError("zero denominator in %s%r" % (option and option + " ", text))
     return value / d
 
 

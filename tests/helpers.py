@@ -1,5 +1,6 @@
-"""Shared generators for the randomized suites (seeded, deterministic) and
-the reference loop of the sampled equation identity."""
+"""Shared generators for the randomized suites (seeded, deterministic), and
+the reference loop of the sampled equation identity with its error
+contract."""
 
 import random
 
@@ -64,3 +65,10 @@ def _sampled_errors_one_form_product_per_equation(params, equations, samples):
             worst = max(worst, float(abs(expanded - raw) / (1 + abs(raw))))
         errors.append(worst)
     return errors
+
+
+def within_error_contract(got, want) -> bool:
+    """Each sampled-identity error within 2^-49 relative, plus 2^-1074
+    absolute, of the reference loop's error."""
+    return len(got) == len(want) and all(
+        abs(g - w) <= w * 2.0 ** -49 + 2.0 ** -1074 for g, w in zip(got, want))

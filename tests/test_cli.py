@@ -6,8 +6,9 @@ import subprocess
 import sys
 
 import pytest
+from mpmath import mpf
 
-from jacdecomp import cli, constructions, cover
+from jacdecomp import cli, constructions, cover, numerics
 
 
 def run_cli(capsys, *argv):
@@ -308,12 +309,23 @@ def test_construct_irreducible_at_the_rank_cap(capsys):
 
 
 def test_infinite_epsilon_exits_2(capsys):
-    for value in ("inf", "nan"):
+    # inf and nan are not bodies of the literal grammar, nor is anything
+    # else float() reads: 1e-9_0 would read as 1e-90
+    for value in ("inf", "nan", "1e-9_0", "abc", "(1e-9)", "2e-9i", "0x1p-30", ""):
         status, out, err = run_cli(capsys, "construct", "irreducible", "--lambdas", "2,3,4",
                                    "--epsilon", value, "--format", "json")
         assert status == 2
         assert out == ""
-        assert err == "error: epsilon must be positive and finite, got %r\n" % value
+        assert err == "error: epsilon must be a decimal or p/q number, got %r\n" % value
+
+
+def test_epsilon_quotients_follow_the_literal_grammar(capsys):
+    for value, want in (("1/2.5e9", mpf(1) / mpf("2.5e9")), (" 1/3 ", mpf(1) / 3)):
+        numerics.set_epsilon(value)
+        assert numerics.epsilon() == want
+    status, out, err = run_cli(capsys, "construct", "irreducible", "--lambdas", "2,3,4",
+                               "--epsilon", "1/0.0", "--format", "json")
+    assert (status, out, err) == (2, "", "error: zero denominator in epsilon '1/0.0'\n")
 
 
 def test_epsilon_of_one_or_more_exits_2(capsys):
@@ -335,13 +347,13 @@ def test_epsilon_past_the_digit_limit_exits_2(capsys):
     assert status == 2
     assert out == ""
     assert err == "error: epsilon has a number of more than 4300 digits\n"
-    # a malformed value keeps mpf's own message, however many digits it holds
+    # a malformed value gets the grammar's message, however many digits it holds
     value = "x" + "1" * 5000
     status, out, err = run_cli(capsys, "construct", "irreducible", "--lambdas", "2,3,4",
                                "--epsilon", value, "--format", "json")
     assert status == 2
     assert out == ""
-    assert err == "error: could not convert string to float: %r\n" % value
+    assert err == "error: epsilon must be a decimal or p/q number, got %r\n" % value
 
 
 def test_seed_is_a_crosscheck_option():

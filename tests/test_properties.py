@@ -4,11 +4,12 @@ pairwise scan, the prefiltered first_near against a linear close scan,
 within_epsilon against the mpc modulus test, orbit tagging against the
 first-candidate scan, cross_ratio_lambda against the cross-ratio formula
 at twice the precision, the solver oracles' distinct points after
-admission, the sampled equation identity against its
-one-product-per-equation reference loop, its integer arithmetic against
-libmp's mpc_mul, mpc_add and mpc_sub, the two-component equations against
-the cover's quotient branch sets, and parse_complex against the literal
-grammar built from its parts."""
+admission, the sampled equation identity within its error contract of
+the one-product-per-equation reference loop, its integer arithmetic
+against the exact results of libmp's mpc_mul, mpc_add and mpc_sub rounded
+once, the two-component equations against the cover's quotient branch
+sets, and parse_complex and set_epsilon against the literal grammar built
+from its parts."""
 
 import math
 import random
@@ -52,6 +53,7 @@ from helpers import (
     _sampled_errors_one_form_product_per_equation,
     boundary_values,
     random_cover_model,
+    within_error_contract,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -555,8 +557,9 @@ def test_sampled_identity_errors_match_reference_on_any_equation_subset(case):
         equations = constructions.derive_equations_reducible(params)
         subset = [equations[k] for k in positions]
         samples = [_sample(*recipe) for recipe in recipes]
-        assert constructions.sampled_identity_errors(params, subset, samples) == \
-            _sampled_errors_one_form_product_per_equation(params, subset, samples)
+        assert within_error_contract(
+            constructions.sampled_identity_errors(params, subset, samples),
+            _sampled_errors_one_form_product_per_equation(params, subset, samples))
     finally:
         mp.prec = saved
 
@@ -594,6 +597,7 @@ def test_equations_agree_with_quotient_branch_sets_for_every_s(bits, s, seed):
 
 
 _ROUNDING_PRECISIONS = [53, 97, 128, 256]
+# each kernel with the libmp operator that, at precision 0, gives its exact parts
 _LIBMP = {"mul": (constructions._mul, mpc_mul), "add": (constructions._add, mpc_add),
           "sub": (constructions._sub, mpc_sub)}
 
@@ -644,27 +648,30 @@ def rounding_cases(draw):
 
 @settings(max_examples=250, deadline=None)
 @given(rounding_cases())
-def test_integer_arithmetic_is_bit_for_bit_libmp(case):
+def test_integer_arithmetic_rounds_each_exact_part_once(case):
     prec, op, z, w = case
     ours, libmp = _LIBMP[op]
     got = ours(constructions._int_complex(z), constructions._int_complex(w), prec)
-    assert constructions._mpc_complex(got) == libmp(z, w, prec, round_nearest)
+    want = [from_man_exp(*constructions._int_part(part), prec, round_nearest)
+            for part in libmp(z, w, 0)]
+    assert [from_man_exp(*got[:2]), from_man_exp(*got[2:])] == want
 
 
 @pytest.mark.parametrize("prec", _ROUNDING_PRECISIONS)
-def test_far_operand_sum_is_mpf_add_where_that_is_not_the_exact_rounding(prec):
+def test_far_operand_sum_is_the_exact_rounding(prec):
     # a 2 prec-bit operand (an exact product) whose discarded half lies one
     # unit above the tie, minus a little over 2^lead at an exponent 102 bits
     # lower: with leading bits more than prec + 4 apart mpf_add perturbs
     # instead of subtracting and rounds up, while the exact difference
-    # rounds down; at prec + 4 apart it subtracts
+    # rounds down; at prec + 4 apart it subtracts.  _sum rounds the exact
+    # difference in every row.
     big = (1 << (2 * prec - 1)) | (1 << (prec - 1)) | 1
     for lead, perturbs in ((1, True), (prec - 6, True), (prec - 5, False)):
         small = -((1 << (lead + 102)) | 1)
-        want = mpf_add(from_man_exp(big, 0), from_man_exp(small, -102), prec, round_nearest)
+        libmp = mpf_add(from_man_exp(big, 0), from_man_exp(small, -102), prec, round_nearest)
         exact = from_man_exp((big << 102) + small, -102, prec, round_nearest)
-        assert (want != exact) == perturbs
-        assert from_man_exp(*constructions._sum(big, 0, small, -102, prec)) == want
+        assert (libmp != exact) == perturbs
+        assert from_man_exp(*constructions._sum(big, 0, small, -102, prec)) == exact
 
 
 _DIGITS = st.text("0123456789", min_size=1, max_size=6)
@@ -780,3 +787,18 @@ def test_parse_complex_rejects_with_a_grammar_message(text):
             "repeated imaginary part in ", "zero denominator in ", "literal "))
     else:
         assert not (math.isinf(float(z.real)) or math.isinf(float(z.imag)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LITERAL_CHARS, max_size=14).map("".join))
+def test_set_epsilon_takes_a_grammar_body_or_names_epsilon(text):
+    """Any string over the literal alphabet sets a tolerance in (0, 1) only
+    when it is a body of the grammar, and is otherwise rejected with a
+    message naming epsilon and the tolerance left as it was."""
+    before = numerics.epsilon()
+    try:
+        numerics.set_epsilon(text)
+    except ValueError as exc:
+        assert "epsilon" in str(exc) and numerics.epsilon() == before
+    else:
+        assert numerics._NUMBER.fullmatch(text.strip()) and 0 < numerics.epsilon() < 1
