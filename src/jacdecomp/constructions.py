@@ -737,7 +737,7 @@ def _sum(m1: int, e1: int, m2: int, e2: int, prec: int) -> tuple:
 
 
 def _mul(x, y, prec: int) -> tuple:
-    """x * y as mpc_mul gives it: exact part products, each part rounded once."""
+    """x * y: exact part products and sums, each part rounded once."""
     a, ae, b, be = x
     c, ce, d, de = y
     return (*_sum(a * c, ae + ce, -(b * d), be + de, prec),
@@ -745,13 +745,13 @@ def _mul(x, y, prec: int) -> tuple:
 
 
 def _add(x, y, prec: int) -> tuple:
-    """x + y as mpc_add gives it."""
+    """x + y: exact part sums, each part rounded once."""
     return (*_sum(x[0], x[1], y[0], y[1], prec),
             *_sum(x[2], x[3], y[2], y[3], prec))
 
 
 def _sub(x, y, prec: int) -> tuple:
-    """x - y as mpc_sub gives it."""
+    """x - y: exact part differences, each part rounded once."""
     return (*_sum(x[0], x[1], -y[0], y[1], prec),
             *_sum(x[2], x[3], -y[2], y[3], prec))
 
@@ -774,8 +774,8 @@ def _modulus(z) -> tuple:
 
 def _error(d, raw) -> float:
     """|d| / (1 + |raw|) as a double, d nonzero, within 2^-49 relative (plus
-    2^-1074 absolute) of float(abs(d) / (1 + abs(raw))) in mpc operators.
-    The exponents stay apart until the last ldexp, so no step overflows; an
+    2^-1074 absolute) of the exact quotient of these d and raw.  The
+    exponents stay apart until the last ldexp, so no step overflows; an
     error beyond the double range is inf."""
     h, e = _modulus(d)
     if raw[0] or raw[2]:
@@ -811,9 +811,8 @@ def sampled_identity_errors(params: ReducibleParams, equations, samples) -> list
     sums, rounded once to mp.prec bits, nearest-even (_sum).
 
     Error.  Each nonzero d gives |d| / (1 + |raw|) as a double (_error),
-    within 2^-49 relative (plus 2^-1074 absolute) of
-    ``float(abs(d) / (1 + abs(raw)))`` in mpc operators; a d of 0 has error
-    0.0 exactly.
+    within 2^-49 relative (plus 2^-1074 absolute) of the exact quotient of
+    that d and raw; a d of 0 has error 0.0 exactly.
     """
     prec = mp.prec
     *groups, last = [[(_int_complex(const._mpc_), _int_complex(coeff._mpc_))

@@ -1,6 +1,7 @@
-"""Shared generators for the randomized suites (seeded, deterministic), and
-the reference loop of the sampled equation identity with its error
-contract."""
+"""Shared generators for the randomized suites (seeded, deterministic), the
+close scan over the parameter orbit that the orbit table is checked
+against, and the reference loop of the sampled equation identity with its
+error contract."""
 
 import random
 
@@ -8,6 +9,7 @@ from mpmath import mpc, mpf
 
 from jacdecomp import constructions, numerics
 from jacdecomp.legendre import random_admissible  # noqa: F401  (shared by the suites)
+from jacdecomp.legendre import require_admissible, s3_orbit
 
 
 def boundary_values():
@@ -15,6 +17,13 @@ def boundary_values():
     inside and just outside the tolerance in force."""
     return [numerics.epsilon() * (1 + sign * mpf(2) ** -30) * mpc(direction)
             for sign in (-1, 1) for direction in (1, -1, 1j, mpc(3, 4) / 5)]
+
+
+def same_curve_by_scan(l1, l2) -> bool:
+    """Reference for OrbitTable.same_curve and legendre.same_curve: l2 is
+    admitted, then checked with close against each image of s3_orbit(l1)."""
+    l2 = require_admissible(l2)
+    return any(numerics.close(l2, v) for v in s3_orbit(l1))
 
 
 def random_mobius(rng: random.Random):
@@ -69,6 +78,10 @@ def _sampled_errors_one_form_product_per_equation(params, equations, samples):
 
 def within_error_contract(got, want) -> bool:
     """Each sampled-identity error within 2^-49 relative, plus 2^-1074
-    absolute, of the reference loop's error."""
+    absolute, of the reference loop's error.  The kernel's own contract is
+    stated against its own d (each part its exact result rounded once);
+    the reference loop's d comes from the mpc operators, and the two agree
+    as long as no sum meets operands so far apart that mpf_add perturbs
+    instead of forming the exact sum, which the tested data never does."""
     return len(got) == len(want) and all(
         abs(g - w) <= w * 2.0 ** -49 + 2.0 ** -1074 for g, w in zip(got, want))

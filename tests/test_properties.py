@@ -2,12 +2,13 @@
 explicit spans, the sort-and-sweep collision search against the full
 pairwise scan, the prefiltered first_near against a linear close scan,
 within_epsilon against the mpc modulus test, orbit tagging against the
-first-candidate scan, cross_ratio_lambda against the cross-ratio formula
+first-candidate close scan, the orbit table and same_curve against the
+close scan over s3_orbit, cross_ratio_lambda against the cross-ratio formula
 at twice the precision, the solver oracles' distinct points after
 admission, the sampled equation identity within its error contract of
 the one-product-per-equation reference loop, its integer arithmetic
 against the exact results of libmp's mpc_mul, mpc_add and mpc_sub rounded
-once, the two-component equations against the cover's quotient branch
+once, its error step against the exact quotient, the two-component equations against the cover's quotient branch
 sets, and parse_complex and set_epsilon against the literal grammar built
 from its parts."""
 
@@ -32,7 +33,7 @@ from jacdecomp.cover import (
     quotient_genus,
     total_genus,
 )
-from jacdecomp.legendre import random_admissible, same_curve
+from jacdecomp.legendre import random_admissible
 from jacdecomp.numerics import (
     INFINITY,
     CollidingPoints,
@@ -53,6 +54,7 @@ from helpers import (
     _sampled_errors_one_form_product_per_equation,
     boundary_values,
     random_cover_model,
+    same_curve_by_scan,
     within_error_contract,
 )
 
@@ -251,7 +253,8 @@ def _reference_tags(report, candidates):
             tags.append(None)
             continue
         invariant = factor_lambda_invariant(curve)
-        tags.append(next((c for c in candidates if same_curve(c, invariant)), invariant))
+        tags.append(next((c for c in candidates if same_curve_by_scan(c, invariant)),
+                         invariant))
     return tags
 
 
@@ -497,9 +500,9 @@ _ORBIT_STEPS = st.sampled_from([0, 0.5, 1 - 1e-6, 1 + 1e-6, 2, 1e6])
        st.lists(st.tuples(st.integers(0, 2), st.integers(0, 5), _ORBIT_STEPS,
                           _DIRECTIONS, st.integers(0, 2)), min_size=1, max_size=8))
 def test_orbit_table_answers_same_curve(parameters, queries):
-    """One table answers a run of queries as same_curve does: near-orbit
-    hits and misses, and inadmissible values on either side (0 and 1 are
-    among the parameters' neighbours)."""
+    """One table answers a run of queries as the close scan over s3_orbit
+    does: near-orbit hits and misses, and inadmissible values on either
+    side (0 and 1 are among the parameters' neighbours)."""
     values = [mpc(re, im) * mpf(10) ** k / 3 for re, im, k in parameters]
     values += [mpc(0), mpc(1)]
     table = legendre.OrbitTable()
@@ -514,7 +517,9 @@ def test_orbit_table_answers_same_curve(parameters, queries):
             l1, l2 = l2, l1
         elif other == 2:
             l2 = values[(owner + 1) % len(values)]
-        assert _answer(table.same_curve, l1, l2) == _answer(same_curve, l1, l2)
+        want = _answer(same_curve_by_scan, l1, l2)
+        assert _answer(table.same_curve, l1, l2) == want
+        assert _answer(legendre.same_curve, l1, l2) == want
 
 
 # a sample point: (kind, real numerator, imaginary numerator, denominator);
@@ -655,6 +660,43 @@ def test_integer_arithmetic_rounds_each_exact_part_once(case):
     want = [from_man_exp(*constructions._int_part(part), prec, round_nearest)
             for part in libmp(z, w, 0)]
     assert [from_man_exp(*got[:2]), from_man_exp(*got[2:])] == want
+
+
+@st.composite
+def _int_values(draw, prec):
+    """A complex value as _int_complex gives it: each part zero or an odd
+    signed mantissa of up to prec bits, at an exponent from the subnormal
+    doubles to past the largest double."""
+    parts = []
+    for _ in range(2):
+        if draw(st.integers(0, 9)) == 0:
+            parts += [0, 0]
+            continue
+        man = draw(st.integers(0, (1 << (prec - 1)) - 1)) * 2 + 1
+        parts += [man if draw(st.booleans()) else -man, draw(st.integers(-1500, 1200))]
+    return tuple(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([53, 128, 1024, 1100]).flatmap(
+    lambda prec: st.tuples(_int_values(prec), _int_values(prec))))
+def test_error_step_is_within_its_contract_of_the_exact_quotient(case):
+    # _error against |d| / (1 + |raw|) of the same d and raw, evaluated at
+    # a precision that holds every part exactly
+    d, raw = case
+    assume(d[0] or d[2])
+    got = constructions._error(d, raw)
+    saved = mp.prec
+    mp.prec = 4000
+    try:
+        parts = [mpf(from_man_exp(*p)) for p in (d[:2], d[2:], raw[:2], raw[2:])]
+        exact = abs(mpc(parts[0], parts[1])) / (1 + abs(mpc(parts[2], parts[3])))
+        if got == math.inf:
+            assert exact >= mpf(2) ** 1024 * (1 - mpf(2) ** -49)
+        else:
+            assert abs(got - exact) <= exact * mpf(2) ** -49 + mpf(2) ** -1074
+    finally:
+        mp.prec = saved
 
 
 @pytest.mark.parametrize("prec", _ROUNDING_PRECISIONS)
