@@ -23,18 +23,20 @@ from .numerics import format_point, parse_point
 
 def functional_bits(functional: int, rank: int) -> str:
     """Render a functional as a bit string, coordinate 1 first."""
-    return "".join("1" if (functional >> j) & 1 else "0" for j in range(rank))
+    mask = (1 << rank) - 1
+    return format((functional & mask) | (mask + 1), "b")[:0:-1]
 
 
 def factor_terms(model: cover.CoverModel) -> dict:
-    """The term "(x - p)^1" of each finite branch point p, rendered once and
-    keyed by id(p): the roots of the model's factors are its point objects."""
-    return {id(p): "(x - %s)^1" % format_point(p) for p in model.points
-            if not numerics.is_infinity(p)}
+    """The term " * (x - p)^1" of each finite branch point p, rendered once,
+    and "" for inf, keyed by id(p): the roots of the model's factors are its
+    point objects."""
+    return {id(p): "" if numerics.is_infinity(p) else " * (x - %s)^1" % format_point(p)
+            for p in model.points}
 
 
 def render_factor_curve(curve: cover.FactorCurve, terms: dict) -> str:
-    return " * ".join(["y^2 = 1"] + [terms[id(root)] for root in curve.finite_roots])
+    return "y^2 = 1" + "".join(map(terms.__getitem__, map(id, curve.roots)))
 
 
 def equation_name(alpha) -> str:
@@ -367,9 +369,57 @@ def _crosscheck(s: int, seed: int) -> dict:
 
 def emit(payload: dict, output_format: str) -> None:
     if output_format == "json":
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        write_json(payload, sys.stdout.write)
+        sys.stdout.write("\n")
         return
     _emit_text(payload)
+
+
+_SCALARS = {str: json.encoder.encode_basestring_ascii, int: int.__repr__,
+            bool: lambda v: "true" if v else "false", type(None): lambda v: "null"}
+
+
+def write_json(value, write, indent: str = "\n") -> None:
+    """Write json.dumps(value, sort_keys=True, indent=2), each line continued
+    with ``indent``, in pieces: a scalar (str, int, bool or None) or a flat
+    record (a dict of str keys and scalar values) is rendered directly, any
+    other dict with str keys is walked key by key, a nonempty list of flat
+    records or scalars is rendered and written one item at a time, and any
+    other value is json.dumps'd and re-indented."""
+    inner = indent + "  "
+    if _is_flat(value):
+        write(_render_flat(value, indent))
+    elif type(value) is dict and all(type(key) is str for key in value):
+        separator = "{"
+        for key in sorted(value):
+            write(separator + inner + _render_flat(key, inner) + ": ")
+            write_json(value[key], write, inner)
+            separator = ","
+        write(indent + "}")
+    elif type(value) is list and value and all(map(_is_flat, value)):
+        separator = "["
+        for item in value:
+            write(separator + inner + _render_flat(item, inner))
+            separator = ","
+        write(indent + "]")
+    else:
+        write(json.dumps(value, sort_keys=True, indent=2).replace("\n", indent))
+
+
+def _is_flat(value) -> bool:
+    if type(value) is dict:
+        return all(type(k) is str and type(v) in _SCALARS for k, v in value.items())
+    return type(value) in _SCALARS
+
+
+def _render_flat(value, indent: str) -> str:
+    if type(value) is not dict:
+        return _SCALARS[type(value)](value)
+    if not value:
+        return "{}"
+    inner = indent + "  "
+    return "{" + ",".join("%s%s: %s" % (inner, _SCALARS[str](k), _SCALARS[type(v)](v))
+                          for k, v in sorted(value.items())) + indent + "}"
 
 
 def _emit_text(payload: dict, indent: str = "") -> None:

@@ -548,22 +548,31 @@ def tag_factors(report: DecompositionReport, candidates,
     other genus.
 
     The candidates' orbits come from ``orbits`` (a fresh table when None)
-    and form one near_entry list in candidate order, so the first entry
+    and form one list of near entries in candidate order, so the first entry
     close to the invariant belongs to the first matching candidate.  Each
     invariant is cross_ratio_unchecked of the factor's roots, with its pole
     rule and accuracy contract: the roots are branch points of one
     CoverModel, which has already checked them for collisions with the
-    same points_equal rule.  One double copy of each invariant serves the
-    admissibility test and the orbit scan."""
+    same points_equal rule.  Each branch-point difference p - q is formed
+    once per call and serves every factor that needs it.  One double copy
+    of each invariant serves the admissibility test and the orbit scan."""
     orbits = OrbitTable() if orbits is None else orbits
     owners, table = [], []
     for candidate in candidates:
         entries = orbits.orbit(candidate)
         owners.extend([candidate] * len(entries))
         table.extend(entries)
+    differences: dict = {}
+
+    def difference(p, q):
+        key = id(p), id(q)
+        d = differences.get(key)
+        if d is None:
+            d = differences[key] = p - q
+        return d
 
     def tag(curve):
-        invariant = cross_ratio_unchecked(*curve.roots)
+        invariant = cross_ratio_unchecked(*curve.roots, difference)
         k = first_near(admissible_entry(invariant._mpc_), table)
         return invariant if k is None else owners[k]
     return [tag(curve) if curve.genus == 1 else None for _, curve in report.factors]

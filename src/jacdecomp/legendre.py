@@ -7,6 +7,8 @@ orbit of the six-element group generated by t -> 1/t and t -> 1 - t.
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -18,7 +20,9 @@ from .numerics import (  # noqa: F401
     DomainError,
     MobiusMap,
     NotInvolution,
+    copy_entry,
     cross_ratio_lambda,
+    entry_value,
     first_collision,
     first_near,
     format_point,
@@ -26,6 +30,7 @@ from .numerics import (  # noqa: F401
     near_table,
     points_equal,
     to_complex,
+    to_double,
     to_point,
 )
 
@@ -75,11 +80,34 @@ def orbit_images(t) -> list:
                               t / minus_one, minus_one / t)]
 
 
+# |t| and |1 - t| in [_COPY_LOW, _COPY_HIGH] bound the orbit copies' error.
+_COPY_LOW, _COPY_HIGH = 2.0 ** -1000, 2.0 ** 1000
+
+
 def _orbit_entries(t) -> list:
-    """The near_entry of each distinct orbit image of the raw tuple t, in
-    orbit_images order; an image close to an earlier kept one is dropped."""
+    """The near entries of the distinct orbit images of the raw tuple t, in
+    orbit_images order; an image close to an earlier kept one is dropped.
+
+    The double copies are formed from t~ and o~, the double copies of t and
+    of o = 1 - t (one mpc subtraction): t~, 1/t~, o~, 1/o~, -t~/o~ and
+    -o~/t~.  While |t~| and |o~| lie in [2^-1000, 2^1000], each copy lies
+    within 2^-48 of its image's modulus, plus 2^-1074 per part: t~ and o~
+    round each part once, a double quotient adds a few units of 2^-53 and
+    the mpc image differs from the exact quotient by a unit of 2^-mp.prec,
+    so first_near's slack covers them.  Outside that range every entry gets
+    the reach inf.  The images themselves are orbit_images(t), built the
+    first time first_near or s3_orbit reads one of them (entry_value)."""
+    one_minus = (1 - mp.make_mpc(t))._mpc_
+    td, od = to_double(t), to_double(one_minus)
+    images = functools.cache(functools.partial(orbit_images, t))
+    values = [t, lambda: images()[1], one_minus, lambda: images()[3],
+              lambda: images()[4], lambda: images()[5]]
+    if _COPY_LOW <= abs(td) <= _COPY_HIGH and _COPY_LOW <= abs(od) <= _COPY_HIGH:
+        entries = map(copy_entry, (td, 1 / td, od, 1 / od, -td / od, -od / td), values)
+    else:
+        entries = ((0j, math.inf, value) for value in values)
     kept: list = []
-    for entry in map(near_entry, orbit_images(t)):
+    for entry in entries:
         if first_near(entry, kept) is None:
             kept.append(entry)
     return kept
@@ -87,13 +115,14 @@ def _orbit_entries(t) -> list:
 
 def s3_orbit(value) -> list[mpc]:
     """The distinct images of t under the group generated by t -> 1/t and
-    t -> 1 - t, in closed form (2, 3 or 6 values)."""
+    t -> 1 - t, in closed form (2, 3 or 6 values): the orbit_images kept by
+    _orbit_entries."""
     t = require_admissible(value)
-    return [mp.make_mpc(image) for _, _, image in _orbit_entries(t._mpc_)]
+    return [entry_value(entry) for entry in _orbit_entries(t._mpc_)]
 
 
 class OrbitTable:
-    """The S3 orbits of parameters, each built once (as near_entry tuples)
+    """The S3 orbits of parameters, each built once (as near entries)
     and looked up by the parameter's value.  Orbits depend on the working
     precision and tolerance, so one table serves one command."""
 
@@ -101,7 +130,7 @@ class OrbitTable:
         self._orbits: dict = {}
 
     def orbit(self, value) -> list:
-        """The near_entry tuples of s3_orbit(value), which raises the same
+        """The near entries of s3_orbit(value), which raises the same
         errors."""
         t = to_complex(value)
         entries = self._orbits.get(t._mpc_)

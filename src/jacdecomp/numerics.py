@@ -9,6 +9,7 @@ single global tolerance, default 1e-9.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import re
 import sys
@@ -51,8 +52,9 @@ def set_epsilon(eps) -> None:
     body of the literal grammar, a decimal or p/q.
 
     Every builder places the branch values 0 and 1, which are 1 apart, so no
-    construction can succeed with a tolerance of 1 or more."""
-    global _epsilon
+    construction can succeed with a tolerance of 1 or more.  The double copy
+    of the tolerance that first_near reads is kept beside it."""
+    global _epsilon, _epsilon_float
     if isinstance(eps, str):
         if _NUMBER.fullmatch(eps.strip()) is None:
             raise ValueError("epsilon must be a decimal or p/q number, got %r" % eps)
@@ -63,7 +65,7 @@ def set_epsilon(eps) -> None:
         raise ValueError("epsilon must be positive and finite, got %r" % eps)
     if value >= 1:
         raise ValueError("epsilon must be below 1, got %r" % eps)
-    _epsilon = value
+    _epsilon, _epsilon_float = value, float(value)
 
 
 def epsilon() -> mpf:
@@ -94,6 +96,7 @@ except ValueError as exc:
     set_precision(DEFAULT_PRECISION_BITS)
     ENV_ERROR = exc
 _epsilon = mpf(DEFAULT_EPSILON)
+_epsilon_float = float(_epsilon)
 
 
 class _Infinity:
@@ -153,10 +156,29 @@ def near_entry(z) -> tuple:
     """(double copy, 2^-40 times its modulus, z) for a raw ``_mpc_`` tuple z;
     a copy with a part not below 2^1000 in size, inf or nan included, gets
     the reach inf."""
-    d = mpc_to_complex(z, False, round_nearest)
+    return copy_entry(to_double(z), z)
+
+
+def to_double(z) -> complex:
+    """The double copy of a raw ``_mpc_`` tuple: each part rounded to nearest
+    (inf beyond the double range)."""
+    return mpc_to_complex(z, False, round_nearest)
+
+
+def copy_entry(d: complex, z) -> tuple:
+    """near_entry with the double copy d of the value z given: d must lie
+    within 2^-48 of z's modulus, plus 2^-1074 per part (first_near).  The
+    value is a raw ``_mpc_`` tuple or a function of no arguments that
+    returns one, called only when the value is read (entry_value)."""
     if abs(d.real) < _NEAR_LIMIT and abs(d.imag) < _NEAR_LIMIT:
         return d, _NEAR_REL * abs(d), z
     return 0j, math.inf, z
+
+
+def entry_value(entry) -> mpc:
+    """The value of a near entry, as an mpc."""
+    z = entry[2]
+    return mp.make_mpc(z() if callable(z) else z)
 
 
 def near_table(values) -> list:
@@ -168,9 +190,8 @@ def near_table(values) -> list:
 def _near_bounds(reach):
     """first_near's skip and accept bounds on the double gap to an entry of
     reach 0, for a value of the given reach."""
-    eps = float(_epsilon)
-    slack = _NEAR_REL * eps + reach + _NEAR_ABS
-    return eps + slack, eps - slack
+    slack = _NEAR_REL * _epsilon_float + reach + _NEAR_ABS
+    return _epsilon_float + slack, _epsilon_float - slack
 
 
 def first_near(entry, table):
@@ -187,22 +208,23 @@ def first_near(entry, table):
 
         |x~ - v~| < eps~ - 2^-40 (eps~ + |x~| + |v~|) - 2^-1000.
 
-    A conversion moves each part by at most one unit in the last place
-    (2^-52 of its size, or 2^-1074 below the normal range), the few double
-    operations add a few more units, and close's own subtraction and
-    modulus round by a relative 2^-53 at most; the 2^-40 and 2^-1000 terms
-    exceed that sum, so a skipped value lies farther than the tolerance
-    from x and an accepted one nearer.  Parts below 2^1000 keep every
-    double finite.  Every other entry is decided by close, on the raw
-    tuples; so is every entry when a copy has a part not below 2^1000 (its
-    reach is then inf).
+    A copy lies within 2^-48 of its value's modulus, plus 2^-1074 per part
+    below the normal range (near_entry's conversion moves each part by one
+    unit in the last place at most, 2^-52 of its size; copy_entry's callers
+    state their own bound), the few double operations add a few units of
+    2^-53, and close's own subtraction and modulus round by a relative
+    2^-53 at most; the 2^-40 and 2^-1000 terms exceed that sum, so a
+    skipped value lies farther than the tolerance from x and an accepted
+    one nearer.  Parts below 2^1000 keep every double finite.  Every other
+    entry is decided by close, on the values (entry_value); so is every
+    entry when a copy has a part not below 2^1000 (its reach is then inf).
     """
-    xd, reach, x = entry
+    xd, reach, _ = entry
     outer, inner = _near_bounds(reach)
-    for k, (vd, v_reach, v) in enumerate(table):
-        gap = abs(xd - vd)
-        if gap <= outer + v_reach and (
-                gap < inner - v_reach or close(mp.make_mpc(x), mp.make_mpc(v))):
+    for k, v in enumerate(table):
+        gap = abs(xd - v[0])
+        if gap <= outer + v[1] and (
+                gap < inner - v[1] or close(entry_value(entry), entry_value(v))):
             return k
     return None
 
@@ -263,30 +285,31 @@ def point_sort_key(p):
 
 
 def format_complex(z) -> str:
-    """Render a finite value in the literal grammar at 17 significant digits;
-    a part beyond the double range raises ValueError, as in literals."""
+    """Render a finite value in the literal grammar at 17 significant digits,
+    from its double copy; a part beyond the double range raises ValueError,
+    as in literals."""
     if type(z) is not mpc:
         z = mpc(z)
-    re_s = _format_real(z.real)
-    im_s = _format_real(abs(z.imag))
-    if im_s == "0":
+    d = complex(z)
+    if math.isinf(d.real):
+        raise _beyond_double(z.real)
+    if math.isinf(d.imag):
+        raise _beyond_double(abs(z.imag))
+    re_s = "%.17g" % (d.real or 0.0)  # folds -0.0 into one rendering
+    if not d.imag:
         return re_s
+    im_s = "%.17g" % abs(d.imag)
     if re_s == "0":
-        return ("-" if z.imag < 0 else "") + im_s + "i"
-    return re_s + ("-" if z.imag < 0 else "+") + im_s + "i"
+        return ("-" if d.imag < 0 else "") + im_s + "i"
+    return re_s + ("-" if d.imag < 0 else "+") + im_s + "i"
 
 
 def format_point(p) -> str:
     return "inf" if is_infinity(p) else format_complex(p)
 
 
-def _format_real(x) -> str:
-    v = float(x)
-    if v == 0.0:
-        v = 0.0  # fold -0.0 into one rendering
-    elif math.isinf(v):
-        raise ValueError("value %s exceeds the double range" % nstr(x, 5))
-    return "%.17g" % v
+def _beyond_double(x) -> ValueError:
+    return ValueError("value %s exceeds the double range" % nstr(x, 5))
 
 
 # The literal grammar.  A body is a decimal or p/q, and a decimal that starts
@@ -448,14 +471,16 @@ def cross_ratio_lambda(p1, p2, p3, p4) -> mpc:
     return cross_ratio_unchecked(*[p if is_infinity(p) else to_complex(p) for p in points])
 
 
-def cross_ratio_unchecked(p1, p2, p3, p4) -> mpc:
+def cross_ratio_unchecked(p1, p2, p3, p4, difference=operator.sub) -> mpc:
     """cross_ratio_lambda for points already known to be pairwise distinct,
     each INFINITY or a finite mpc: the cross-ratio
 
         (p4 - p2)(p3 - p1) / ((p4 - p1)(p3 - p2))
 
     in mpc operators, with the factors that hold inf dropped (at most one
-    point is inf).
+    point is inf).  ``difference(p, q)`` gives each finite difference p - q:
+    a caller that meets the same points again may pass a memo of the same
+    subtraction, which changes no bit.
 
     Pole rule: CollidingPoints when within_epsilon holds for the
     denominator's product (p4 - p1)(p3 - p2), which in exact arithmetic is
@@ -465,10 +490,10 @@ def cross_ratio_unchecked(p1, p2, p3, p4) -> mpc:
     """
     def product(p, q, r, s):
         if is_infinity(p) or is_infinity(q):
-            return r - s
+            return difference(r, s)
         if is_infinity(r) or is_infinity(s):
-            return p - q
-        return (p - q) * (r - s)
+            return difference(p, q)
+        return difference(p, q) * difference(r, s)
     den = product(p4, p1, p3, p2)
     if within_epsilon(den._mpc_):
         raise CollidingPoints("fourth point collides with the first within tolerance")

@@ -1,15 +1,17 @@
 """Shared generators for the randomized suites (seeded, deterministic), the
-close scan over the parameter orbit that the orbit table is checked
-against, and the reference loop of the sampled equation identity with its
-error contract."""
+close scans over the parameter orbit that the orbit table is checked
+against, the reference loop of the sampled equation identity with its
+error contract, and the rendering of a complex value from its two mpf
+parts that format_complex is checked against."""
 
+import math
 import random
 
-from mpmath import mpc, mpf
+from mpmath import mp, mpc, mpf, nstr
 
 from jacdecomp import constructions, numerics
+from jacdecomp.legendre import orbit_images, require_admissible, s3_orbit
 from jacdecomp.legendre import random_admissible  # noqa: F401  (shared by the suites)
-from jacdecomp.legendre import require_admissible, s3_orbit
 
 
 def boundary_values():
@@ -24,6 +26,40 @@ def same_curve_by_scan(l1, l2) -> bool:
     admitted, then checked with close against each image of s3_orbit(l1)."""
     l2 = require_admissible(l2)
     return any(numerics.close(l2, v) for v in s3_orbit(l1))
+
+
+def orbit_by_close_scan(t) -> list:
+    """Reference for s3_orbit: the images of orbit_images(t), each kept
+    unless close accepts it with an image kept before it."""
+    kept = []
+    for image in orbit_images(numerics.to_complex(t)._mpc_):
+        w = mp.make_mpc(image)
+        if not any(numerics.close(w, v) for v in kept):
+            kept.append(w)
+    return kept
+
+
+def format_complex_reference(z) -> str:
+    """Reference for numerics.format_complex: each part converted from its
+    mpf on its own and both signs taken from the mpf parts."""
+    if type(z) is not mpc:
+        z = mpc(z)
+    re_s = _format_real_reference(z.real)
+    im_s = _format_real_reference(abs(z.imag))
+    if im_s == "0":
+        return re_s
+    if re_s == "0":
+        return ("-" if z.imag < 0 else "") + im_s + "i"
+    return re_s + ("-" if z.imag < 0 else "+") + im_s + "i"
+
+
+def _format_real_reference(x) -> str:
+    v = float(x)
+    if v == 0.0:
+        v = 0.0
+    elif math.isinf(v):
+        raise ValueError("value %s exceeds the double range" % nstr(x, 5))
+    return "%.17g" % v
 
 
 def random_mobius(rng: random.Random):

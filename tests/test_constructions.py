@@ -626,6 +626,32 @@ def test_tag_factors_repeats_no_collision_check(monkeypatch, candidates):
     assert cons.tag_factors(report, candidates) == want
 
 
+def test_tag_factors_forms_each_difference_once(monkeypatch):
+    # every factor that needs p - q gets the same object, and the tags are
+    # those of the per-factor subtraction
+    candidates = [mpc(2), mpc(3), mpc(-1, 2), mpc(0.5, -1)]
+    report = decompose(build_irreducible(candidates))
+    want = cons.tag_factors(report, candidates)
+    results, uses = {}, []
+    kernel = cons.cross_ratio_unchecked
+
+    def watched(*args):
+        *points, difference = args
+
+        def recorded(p, q):
+            d = difference(p, q)
+            results.setdefault((id(p), id(q)), set()).add(id(d))
+            uses.append((id(p), id(q)))
+            return d
+        return kernel(*points, recorded)
+    monkeypatch.setattr(cons, "cross_ratio_unchecked", watched)
+    got = cons.tag_factors(report, candidates)
+    assert [t if t is None else t._mpc_ for t in got] == [
+        t if t is None else t._mpc_ for t in want]
+    assert all(len(ids) == 1 for ids in results.values())
+    assert len(uses) > len(results)
+
+
 def test_chain_solver_and_tagging_build_each_orbit_once(monkeypatch):
     from jacdecomp import cli
 

@@ -1,12 +1,15 @@
 import random
 
 import pytest
-from mpmath import exp, mpc, mpf, pi
+from mpmath import exp, mp, mpc, mpf, pi, sqrt
 
+from jacdecomp import legendre, numerics
 from jacdecomp.legendre import (
     InvalidDomain,
+    OrbitTable,
     branch_set_pairing,
     j_invariant,
+    orbit_images,
     require_admissible,
     require_admissible_tuple,
     s3_orbit,
@@ -14,7 +17,7 @@ from jacdecomp.legendre import (
 )
 from jacdecomp.numerics import INFINITY, MobiusMap, NotInvolution, close, cross_ratio_lambda
 
-from helpers import random_admissible
+from helpers import orbit_by_close_scan, random_admissible, same_curve_by_scan
 
 
 def orbit_by_hand(lam, eps=1e-9):
@@ -178,3 +181,116 @@ def test_pairing_genus13_example_set():
     result = branch_set_pairing(m, [INFINITY, mpc(0), mpc(1), l1, l2, l4])
     assert result.ok
     assert len(result.pairs) == 3
+
+
+# Parameters where the double copies of the orbit images are stressed: |t|
+# at the ends of their stated range [2^-1000, 2^1000] and just beyond it,
+# |1 - t| within a few epsilon, and the points whose orbits have fewer than
+# six images (-1, 1/2, 2 and e^(+-i pi/3)) moved so that two images lie
+# epsilon (1 -/+ 2^-30) apart.
+_DIRECTIONS = [1, -1, 1j, mpc(3, 4) / 5]
+_SIXTH = exp(mpc(0, 1) * pi / 3)
+
+
+def _stressed_parameters():
+    eps = numerics.epsilon()
+    cases = []
+    for k in (-1001, -1000, -999, 999, 1000, 1001):
+        for direction in _DIRECTIONS:
+            for nudge in (0, -1, 1):
+                cases.append(mpf(2) ** k * (1 + nudge * mpf(2) ** -30) * mpc(direction))
+    for steps in (2, 3, 5):
+        cases += [1 + steps * eps * mpc(direction) for direction in _DIRECTIONS]
+    # at t the pair of images that meet moves apart at 2 (for -1, 1/2 and 2)
+    # or sqrt(3) (for the sixth roots) times the displacement of t
+    for center, rate in [(-1, 2), (mpf(1) / 2, 2), (2, 2),
+                         (_SIXTH, sqrt(3)), (1 / _SIXTH, sqrt(3))]:
+        for scale in (1, 1 / mpf(rate)):
+            for sign in (-1, 1):
+                for direction in _DIRECTIONS:
+                    shift = scale * eps * (1 + sign * mpf(2) ** -30) * mpc(direction)
+                    cases.append(center + shift)
+    return cases
+
+
+@pytest.fixture
+def tiny_epsilon():
+    """An epsilon below 2^-1000, so that parameters of that size are admissible."""
+    saved = numerics.epsilon()
+    numerics.set_epsilon(mpf(2) ** -1040)
+    try:
+        yield
+    finally:
+        numerics.set_epsilon(saved)
+
+
+def _answer(function, *args):
+    try:
+        return function(*args)
+    except InvalidDomain as exc:
+        return str(exc)
+
+
+def _check_orbit(t):
+    if isinstance(_answer(require_admissible, t), str):
+        return
+    orbit = s3_orbit(t)
+    assert [w._mpc_ for w in orbit] == [w._mpc_ for w in orbit_by_close_scan(t)]
+    table = OrbitTable()
+    eps = numerics.epsilon()
+    for image in orbit_images(t._mpc_):
+        for step in (0, 1 - mpf(2) ** -30, 1 + mpf(2) ** -30):
+            for direction in _DIRECTIONS[:2]:
+                query = mp.make_mpc(image) + step * eps * mpc(direction)
+                want = _answer(same_curve_by_scan, t, query)
+                assert _answer(table.same_curve, t, query) == want
+
+
+@pytest.mark.parametrize("eps", ["1e-9", "0.25"])
+def test_orbit_table_matches_close_scan_at_stressed_parameters(eps):
+    saved = numerics.epsilon()
+    numerics.set_epsilon(eps)
+    try:
+        for t in _stressed_parameters():
+            _check_orbit(t)
+    finally:
+        numerics.set_epsilon(saved)
+
+
+def test_orbit_table_matches_close_scan_at_extreme_moduli(tiny_epsilon):
+    for t in _stressed_parameters():
+        _check_orbit(t)
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+def test_orbit_copies_lie_within_their_stated_bound(bits, tiny_epsilon):
+    """Each kept entry with a finite reach has its double copy within 2^-48
+    of its image's modulus, plus 2^-1074 per part."""
+    saved = mp.prec
+    mp.prec = bits
+    try:
+        rng = random.Random(26)
+        values = _stressed_parameters() + [
+            mpc(rng.uniform(-3, 3), rng.uniform(-3, 3)) * mpf(2) ** rng.randint(-990, 990)
+            for _ in range(300)]
+        for t in values:
+            if t == 0 or t == 1:
+                continue
+            for entry in legendre._orbit_entries(t._mpc_):
+                if entry[1] < float("inf"):
+                    value = numerics.entry_value(entry)
+                    bound = abs(value) * mpf(2) ** -48 + 2 * mpf(2) ** -1074
+                    assert abs(mpc(entry[0]) - value) <= bound
+    finally:
+        mp.prec = saved
+
+
+def test_s3_orbit_returns_orbit_images_bits():
+    rng = random.Random(27)
+    for t in random_admissible(rng, 40) + [mpc(2), mpc(-1), mpc(0.5), _SIXTH]:
+        images = orbit_images(t._mpc_)
+        kept = [w._mpc_ for w in s3_orbit(t)]
+        assert kept[0] == images[0]
+        # kept images are orbit_images entries, in their order
+        positions = [images.index(w) for w in kept]
+        assert positions == sorted(positions)

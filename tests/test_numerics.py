@@ -10,6 +10,7 @@ from jacdecomp.numerics import (
     MobiusMap,
     close,
     cross_ratio_lambda,
+    cross_ratio_unchecked,
     epsilon,
     format_complex,
     format_point,
@@ -20,6 +21,7 @@ from jacdecomp.numerics import (
     set_epsilon,
     set_precision,
     solve_quadratic,
+    within_epsilon,
 )
 
 from helpers import boundary_values, random_admissible, random_mobius
@@ -309,3 +311,31 @@ def test_format_parse_roundtrip():
     assert format_point(INFINITY) == "inf"
     assert format_complex(mpc(2)) == "2"
     assert format_complex(mpc(0, -1)) == "-1i"
+
+
+def test_prefilter_reads_the_tolerance_set_last():
+    saved = epsilon()
+    try:
+        for eps in ("0.25", "1e-30", "1e-9"):
+            set_epsilon(eps)
+            for z in boundary_values():
+                assert within_epsilon(z._mpc_) == (abs(z) <= epsilon())
+    finally:
+        set_epsilon(saved)
+
+
+def test_cross_ratio_takes_each_difference_from_the_given_function():
+    rng = random.Random(31)
+    for k in range(40):
+        points = random_admissible(rng, 4)
+        if k % 2:
+            points[k % 4] = INFINITY
+        asked = []
+
+        def difference(p, q):
+            asked.append((p, q))
+            return p - q
+        got = cross_ratio_unchecked(*points, difference)
+        assert got._mpc_ == cross_ratio_unchecked(*points)._mpc_
+        assert not any(is_infinity(p) or is_infinity(q) for p, q in asked)
+        assert len(asked) == (2 if k % 2 else 4)

@@ -9,9 +9,12 @@ admission, the sampled equation identity within its error contract of
 the one-product-per-equation reference loop, its integer arithmetic
 against the exact results of libmp's mpc_mul, mpc_add and mpc_sub rounded
 once, its error step against the exact quotient, the two-component equations against the cover's quotient branch
-sets, and parse_complex and set_epsilon against the literal grammar built
-from its parts."""
+sets, parse_complex and set_epsilon against the literal grammar built
+from its parts, format_complex against its two-part reference, and the
+JSON writer against json.dumps."""
 
+import io
+import json
 import math
 import random
 from itertools import combinations
@@ -53,6 +56,7 @@ from jacdecomp.numerics import (
 from helpers import (
     _sampled_errors_one_form_product_per_equation,
     boundary_values,
+    format_complex_reference,
     random_cover_model,
     same_curve_by_scan,
     within_error_contract,
@@ -844,3 +848,45 @@ def test_set_epsilon_takes_a_grammar_body_or_names_epsilon(text):
         assert "epsilon" in str(exc) and numerics.epsilon() == before
     else:
         assert numerics._NUMBER.fullmatch(text.strip()) and 0 < numerics.epsilon() < 1
+
+
+# a part of a value to render: a double (signed zeros, subnormals, inf and
+# nan included) times 2^k, so that some parts lie beyond the double range
+# or round to a signed zero or a subnormal
+_FORMAT_PARTS = st.tuples(st.floats(), st.sampled_from([0, 0, 0, -1030, -1080, -1100, 30, 1030]))
+
+
+@pytest.mark.parametrize("bits", [53, 128])
+@settings(max_examples=400, deadline=None)
+@given(_FORMAT_PARTS, _FORMAT_PARTS)
+@example((-0.0, 0), (5e-324, 0))
+@example((1.0, 1100), (-1.0, 1100))
+@example((-1.0, -1100), (-1.0, -1100))
+def test_format_complex_matches_two_part_reference(bits, real, imag):
+    saved = mp.prec
+    mp.prec = bits
+    try:
+        z = mpc(*(mpf(x) * mpf(2) ** k for x, k in (real, imag)))
+        assert _answer(numerics.format_complex, z) == _answer(format_complex_reference, z)
+    finally:
+        mp.prec = saved
+
+
+_JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\té\u2028😀'),
+                               st.characters()), max_size=6)
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), _JSON_TEXT,
+                          st.floats(allow_nan=False, allow_infinity=False))
+_JSON_RECORDS = st.dictionaries(_JSON_TEXT, _JSON_SCALARS, max_size=5)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.recursive(
+    st.one_of(_JSON_SCALARS, _JSON_RECORDS, st.lists(_JSON_RECORDS, max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_JSON_TEXT, inner, max_size=4),
+                            st.dictionaries(st.integers(), inner, max_size=3)),
+    max_leaves=25))
+def test_json_writer_writes_the_bytes_of_json_dumps(payload):
+    out = io.StringIO()
+    cli.write_json(payload, out.write)
+    assert out.getvalue() == json.dumps(payload, sort_keys=True, indent=2)
