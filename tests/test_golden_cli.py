@@ -61,6 +61,9 @@ CASES = {
                               "2,-1.5,0.3+1.1i,3/4"],
     "construct_reducible_mu": ["construct", "reducible", "--lambda", "2",
                                "--mu", "5,7,0.3+1.1i,-2i"],
+    # rank 7: 127 equations, 960 roots over 15 distinct root objects
+    "construct_reducible_mu_r7": ["construct", "reducible", "--lambda", "2", "--mu",
+                                  "3,4,5,6,7,8,9,10,11,12,13,14"],
     "construct_genus9": ["construct", "genus9", "--lambda", "2", "--mu", "0.3+1.1i"],
     "verify_crosscheck_s3": ["verify", "crosscheck", "--s", "3", "--seed", "7"],
     "verify_crosscheck_s4": ["verify", "crosscheck", "--s", "4", "--seed", "7"],
