@@ -27,16 +27,16 @@ def functional_bits(functional: int, rank: int) -> str:
     return format((functional & mask) | (mask + 1), "b")[:0:-1]
 
 
-def factor_terms(model: cover.CoverModel) -> dict:
-    """The term " * (x - p)^1" of each finite branch point p, rendered once,
-    and "" for inf, keyed by id(p): the roots of the model's factors are its
-    point objects."""
-    return {id(p): "" if numerics.is_infinity(p) else " * (x - %s)^1" % format_point(p)
-            for p in model.points}
+def root_terms(points, var: str) -> dict:
+    """The term " * (<var> - p)^1" of each distinct point object p, rendered
+    once, and "" for inf, keyed by id(p) for render_equation."""
+    distinct = {id(p): p for p in points}
+    return {key: "" if numerics.is_infinity(p) else " * (%s - %s)^1" % (var, format_point(p))
+            for key, p in distinct.items()}
 
 
-def render_factor_curve(curve: cover.FactorCurve, terms: dict) -> str:
-    return "y^2 = 1" + "".join(map(terms.__getitem__, map(id, curve.roots)))
+def render_equation(head: str, roots, terms: dict) -> str:
+    return head + "".join(map(terms.__getitem__, map(id, roots)))
 
 
 def equation_name(alpha) -> str:
@@ -44,11 +44,12 @@ def equation_name(alpha) -> str:
     return "w_" + "".join(str(b) for b in alpha)
 
 
-def render_curve_equation(eq: cons.CurveEquation) -> str:
-    terms = [format_point(eq.constant)]
-    for root in eq.roots:
-        terms.append("(z - %s)^1" % format_point(root))
-    return "%s^2 = %s" % (equation_name(eq.alpha), " * ".join(terms))
+def render_system(equations) -> list[str]:
+    """Each equation w_<alpha>^2 = <constant> * (z - <root>)^1 * ...: every
+    constant is rendered once and every distinct root object once."""
+    terms = root_terms([root for eq in equations for root in eq.roots], "z")
+    return [render_equation("%s^2 = %s" % (equation_name(eq.alpha), format_point(eq.constant)),
+                            eq.roots, terms) for eq in equations]
 
 
 def branch_table(model: cover.CoverModel) -> list[dict]:
@@ -102,8 +103,7 @@ def _two_component(params, candidates, construction: dict) -> dict:
         "model": cons.build_reducible(params),
         "candidates": candidates,
         "construction": construction,
-        "equations": lambda: [render_curve_equation(eq)
-                              for eq in cons.derive_equations_reducible(params)],
+        "equations": lambda: render_system(cons.derive_equations_reducible(params)),
     }
 
 
@@ -128,11 +128,9 @@ def _build_reducible(args) -> dict:
             raise legendre.InvalidDomain("--mu needs an even number (>= 2) of values")
         params = cons.ReducibleParams(parse_point(args.lam), tuple(zip(mus[::2], mus[1::2])))
         candidates, extra = params.flat(), {}
-    built = _two_component(params, candidates, {
+    return {**_two_component(params, candidates, {
         "type": "reducible", "s": params.s, "lambda": format_point(params.lam),
-        "mu": _pairs(params.mu), **extra})
-    built["orbits"] = orbits
-    return built
+        "mu": _pairs(params.mu), **extra}), "orbits": orbits}
 
 
 def _build_genus9(args) -> dict:
@@ -170,7 +168,8 @@ def _common_options() -> argparse.ArgumentParser:
     return common
 
 
-def _add_construction_parsers(sub, common) -> None:
+def _add_construction_parsers(command, common) -> None:
+    sub = command.add_subparsers(dest="construction", required=True)
     g2 = sub.add_parser("genus2", parents=[common],
                         help="rank-2 cover with two genus-1 factors")
     g2.add_argument("--l1", required=True)
@@ -196,14 +195,13 @@ def _add_construction_parsers(sub, common) -> None:
 def cmd_construct(args) -> tuple[dict, int]:
     built = build_from_args(args)
     model = built["model"]
-    payload = {
+    return {
         "construction": built["construction"],
         "genus": cover.total_genus(model),
         "equations": built["equations"](),
         "branch": branch_table(model),
         "checks": {},
-    }
-    return payload, 0
+    }, 0
 
 
 def cmd_decompose(args) -> tuple[dict, int]:
@@ -211,23 +209,22 @@ def cmd_decompose(args) -> tuple[dict, int]:
     model = built["model"]
     report = cover.decompose(model)
     tags = cons.tag_factors(report, built["candidates"], built.get("orbits"))
-    terms = factor_terms(model)
+    terms = root_terms(model.points, "x")
     factors = [{
         "functional": functional_bits(functional, model.rank),
         "genus": curve.genus,
-        "equation": render_factor_curve(curve, terms),
+        "equation": render_equation("y^2 = 1", curve.roots, terms),
         "deleted_infinity": curve.deleted_infinity,
         "orbit_of": None if tag is None else format_point(tag),
     } for (functional, curve), tag in zip(report.factors, tags)]
-    payload = {
+    return {
         "construction": built["construction"],
         "genus": report.total_genus,
         "factors": factors,
         "genus_sum": report.genus_sum,
         "kani_rosen_ok": report.kani_rosen_ok,
         "checks": {},
-    }
-    return payload, 0 if report.kani_rosen_ok else 1
+    }, 0 if report.kani_rosen_ok else 1
 
 
 def cmd_verify(args) -> tuple[dict, int]:
@@ -423,8 +420,7 @@ def _render_flat(value, indent: str) -> str:
 
 
 def _emit_text(payload: dict, indent: str = "") -> None:
-    for key in payload:
-        value = payload[key]
+    for key, value in payload.items():
         if isinstance(value, dict):
             print("%s%s:" % (indent, key))
             _emit_text(value, indent + "  ")
@@ -440,25 +436,28 @@ def _emit_text(payload: dict, indent: str = "") -> None:
             print("%s%s = %s" % (indent, key, value))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors, here and in every subparser, are one line and exit 2."""
+
+    def error(self, message):
+        self.exit(2, "error: %s\n" % message)
+
+
 @functools.cache
 def make_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared by every
     later call in the process (parsing leaves it unchanged)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jacdecomp",
         description="Construct, decompose and verify families of curves "
                     "with decomposable Jacobians.")
     common = _common_options()
     commands = parser.add_subparsers(dest="command", required=True)
 
-    construct = commands.add_parser("construct", help="emit a family instance")
     _add_construction_parsers(
-        construct.add_subparsers(dest="construction", required=True), common)
-
-    decomp = commands.add_parser("decompose", help="factor an instance's Jacobian")
+        commands.add_parser("construct", help="emit a family instance"), common)
     _add_construction_parsers(
-        decomp.add_subparsers(dest="construction", required=True), common)
-
+        commands.add_parser("decompose", help="factor an instance's Jacobian"), common)
     verify = commands.add_parser("verify", help="run verification checks")
     checks = verify.add_subparsers(dest="verification", required=True)
     ident = checks.add_parser("identities", parents=[common],

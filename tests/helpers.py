@@ -1,8 +1,9 @@
 """Shared generators for the randomized suites (seeded, deterministic), the
 close scans over the parameter orbit that the orbit table is checked
 against, the reference loop of the sampled equation identity with its
-error contract, and the rendering of a complex value from its two mpf
-parts that format_complex is checked against."""
+error contract, the rendering of a complex value from its two mpf parts
+that format_complex is checked against, and the per-root rendering of
+equations that the CLI's term tables are checked against."""
 
 import math
 import random
@@ -121,3 +122,19 @@ def within_error_contract(got, want) -> bool:
     instead of forming the exact sum, which the tested data never does."""
     return len(got) == len(want) and all(
         abs(g - w) <= w * 2.0 ** -49 + 2.0 ** -1074 for g, w in zip(got, want))
+
+
+def render_curve_equation_reference(eq) -> str:
+    """Reference for cli.render_system: the constant and every root of the
+    equation formatted on their own, shared roots included."""
+    terms = [numerics.format_point(eq.constant)]
+    for root in eq.roots:
+        terms.append("(z - %s)^1" % numerics.format_point(root))
+    return "w_%s^2 = %s" % ("".join(str(b) for b in eq.alpha), " * ".join(terms))
+
+
+def render_factor_curve_reference(curve) -> str:
+    """Reference for the factor equations of decompose: every finite root
+    formatted on its own, and inf dropped."""
+    return "y^2 = 1" + "".join(" * (x - %s)^1" % numerics.format_point(p)
+                               for p in curve.roots if not numerics.is_infinity(p))

@@ -396,6 +396,50 @@ def test_usage_error_leaves_the_parser_intact(capsys):
     assert out == golden.read_text()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "bound"],
+    ["construct", "genus2", "--l1", "2", "--l2", "3", "--precision", "abc"],
+])
+def test_usage_errors_are_one_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "bound", "--help"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 0
+    assert captured.out.startswith("usage: jacdecomp verify bound")
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["reducible", "--lambda", "2", "--mu", "3,4,5,6,7,8,9,10,11,12,13,14"],
+    ["reducible", "--chain", "2,-1.5,0.3+1.1i,3/4,-2i"],
+    ["genus9", "--lambda", "2", "--mu", "0.3+1.1i"],
+])
+def test_construct_formats_each_distinct_root_once(argv, monkeypatch):
+    derived, calls = [], []
+    derive = constructions.derive_equations_reducible
+    monkeypatch.setattr(constructions, "derive_equations_reducible",
+                        lambda params: derived.extend(derive(params)) or derived)
+    monkeypatch.setattr(cli, "format_point",
+                        lambda p: calls.append(p) or numerics.format_point(p))
+    built = cli.build_from_args(cli.make_parser().parse_args(["construct", *argv]))
+    del calls[:]
+    rendered = built["equations"]()
+    roots = {id(root) for eq in derived for root in eq.roots}
+    assert len(rendered) == len(derived)
+    assert len(calls) == len(derived) + len(roots)
+    assert len(calls) < sum(1 + len(eq.roots) for eq in derived)
+
+
 def test_precision_env_variable():
     env = dict(os.environ, JACDECOMP_PRECISION="200")
     script = "import jacdecomp, mpmath; print(mpmath.mp.prec)"

@@ -10,7 +10,8 @@ the one-product-per-equation reference loop, its integer arithmetic
 against the exact results of libmp's mpc_mul, mpc_add and mpc_sub rounded
 once, its error step against the exact quotient, the two-component equations against the cover's quotient branch
 sets, parse_complex and set_epsilon against the literal grammar built
-from its parts, format_complex against its two-part reference, and the
+from its parts, format_complex against its two-part reference, the CLI's
+equation rendering from term tables against per-root formatting, and the
 JSON writer against json.dumps."""
 
 import io
@@ -58,6 +59,8 @@ from helpers import (
     boundary_values,
     format_complex_reference,
     random_cover_model,
+    render_curve_equation_reference,
+    render_factor_curve_reference,
     same_curve_by_scan,
     within_error_contract,
 )
@@ -603,6 +606,55 @@ def test_equations_agree_with_quotient_branch_sets_for_every_s(bits, s, seed):
                 assert abs(got.pop(k) - want) <= mpf(2) ** (4 - bits) * abs(want)
     finally:
         mp.prec = saved
+
+
+_EDGE_PARTS = [-0.0, 0.0, 1e300, -1e300, 1e-300, -1e-300, 2.5]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([53, 128, 256]), st.integers(3, 8), st.integers(0, 2 ** 32),
+       st.lists(st.tuples(st.sampled_from(_EDGE_PARTS), st.sampled_from(_EDGE_PARTS)),
+                max_size=6),
+       st.integers(1, 4))
+@example(53, 4, 0, [(-0.0, 1e300), (1e-300, -0.0), (-1e300, -1e-300)], 1)
+@example(256, 8, 1, [(-0.0, -0.0), (1e300, 1e300)], 3)
+def test_render_system_matches_the_per_root_reference(bits, s, seed, edges, stride):
+    """A derived system renders as the per-root reference does, also when
+    every stride-th distinct root object and constant is replaced by a value
+    with parts of -0.0 or of size 1e+-300 (the root objects stay shared)."""
+    saved = mp.prec
+    mp.prec = bits
+    try:
+        draw = random_admissible(random.Random(seed), 2 * s - 3)
+        params = constructions.ReducibleParams(draw[0], tuple(
+            (draw[1 + 2 * k], draw[2 + 2 * k]) for k in range(s - 2)))
+        equations = constructions.derive_equations_reducible(params)
+        distinct = list({id(r): r for eq in equations for r in eq.roots}.values())
+        swaps = {id(r): mpc(*edges[i % len(edges)])
+                 for i, r in enumerate(distinct) if edges and i % stride == 0}
+        equations = [eq._replace(
+            constant=mpc(*edges[k % len(edges)]) if edges and k % stride == 0 else eq.constant,
+            roots=tuple(swaps.get(id(r), r) for r in eq.roots))
+            for k, eq in enumerate(equations)]
+        assert cli.render_system(equations) == list(map(render_curve_equation_reference,
+                                                        equations))
+    finally:
+        mp.prec = saved
+
+
+@SETTINGS
+@given(st.integers(0, 2 ** 32))
+def test_factor_curves_with_an_infinite_root_render_per_root(seed):
+    """decompose's factor equations from one term table per model read as
+    each root formatted on its own, with inf dropped; the first point of
+    every random model is inf, so some factor holds it."""
+    model = random_cover_model(random.Random(seed))
+    terms = cli.root_terms(model.points, "x")
+    curves = [curve for _, curve in decompose(model).factors]
+    assert any(curve.deleted_infinity for curve in curves)
+    for curve in curves:
+        assert cli.render_equation("y^2 = 1", curve.roots, terms) == \
+            render_factor_curve_reference(curve)
 
 
 _ROUNDING_PRECISIONS = [53, 97, 128, 256]
