@@ -432,7 +432,7 @@ def test_construct_formats_each_distinct_root_once(argv, monkeypatch):
     monkeypatch.setattr(cli, "format_point",
                         lambda p: calls.append(p) or numerics.format_point(p))
     built = cli.build_from_args(cli.make_parser().parse_args(["construct", *argv]))
-    del calls[:]
+    calls.clear()
     rendered = built["equations"]()
     roots = {id(root) for eq in derived for root in eq.roots}
     assert len(rendered) == len(derived)
