@@ -6,7 +6,8 @@ first-candidate close scan, the orbit table and same_curve against the
 close scan over s3_orbit, cross_ratio_lambda against the cross-ratio formula
 at twice the precision, the solver oracles' distinct points after
 admission, the sampled equation identity within its error contract of
-the one-product-per-equation reference loop, its integer arithmetic
+the one-product-per-equation reference loop and equal to the two-part
+integer kernel's, its integer arithmetic
 against the exact results of libmp's mpc_mul, mpc_add and mpc_sub rounded
 once, its error step against the exact quotient, the two-component equations against the cover's quotient branch
 sets, parse_complex and set_epsilon against the literal grammar built
@@ -62,6 +63,7 @@ from helpers import (
     render_curve_equation_reference,
     render_factor_curve_reference,
     same_curve_by_scan,
+    sampled_identity_errors_reference,
     within_error_contract,
 )
 
@@ -574,6 +576,71 @@ def test_sampled_identity_errors_match_reference_on_any_equation_subset(case):
             _sampled_errors_one_form_product_per_equation(params, subset, samples))
     finally:
         mp.prec = saved
+
+
+# sample kinds for the bit-identity property: full parts, one part zero, a
+# -0.0 part, or parts 2^600 apart (which exercises the shared exponent's
+# shift); a dyadic denominator leaves short mantissas, whose products meet
+# rounding ties
+_KERNEL_SAMPLES = st.tuples(st.sampled_from(["full", "real", "imaginary", "-0.0", "apart"]),
+                            st.integers(-200, 200), st.integers(-200, 200),
+                            st.integers(1, 97))
+
+
+def _kernel_sample(kind, re, im, q, scale):
+    if kind == "-0.0":
+        return complex(-0.0, im / q * scale) if re & 1 else complex(re / q * scale, -0.0)
+    z = mpc(re, im) / q * scale
+    if kind == "real":
+        return z.real
+    if kind == "imaginary":
+        return mpc(0, z.imag)
+    if kind == "apart":
+        return mpc(z.real * mpf(2) ** 600, z.imag) if re & 1 else mpc(z.real, z.imag / 2 ** 600)
+    return z
+
+
+@st.composite
+def kernel_cases(draw):
+    """Precision, s, a parameter scale and kind (full, real or imaginary
+    parameters), a seed, the positions of a shuffled nonempty subset of the
+    equations, and sample recipes."""
+    s = draw(st.integers(3, 7))
+    count = (1 << (s - 1)) - 1
+    return (draw(st.sampled_from([53, 97, 128, 256, 1024, 1100])), s,
+            draw(st.sampled_from([1e-30, 1e-7, 1.0, 1.0, 3e40, 1e150, 1e250])),
+            draw(st.sampled_from(["full", "real", "imaginary"])), draw(st.integers(0, 2 ** 32)),
+            draw(st.lists(st.integers(0, count - 1), min_size=1, max_size=count,
+                          unique=True)),
+            draw(st.lists(_KERNEL_SAMPLES, min_size=1, max_size=4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+@example((128, 5, 1.0, "real", 0, [0, 3, 14], [("real", 3, 0, 4), ("full", 7, -5, 8)]))
+@example((53, 4, 1e250, "full", 1, [0, 6], [("apart", 3, 5, 3), ("-0.0", 1, 9, 7)]))
+def test_sampled_identity_errors_equal_the_two_part_kernel(case):
+    """The same doubles as the kernel on two (mantissa, exponent) parts per
+    value: each part is rounded by one rule that depends on its value only.
+    The parameters are admitted under a tolerance below their scale."""
+    bits, s, scale, kind, seed, positions, recipes = case
+    saved, saved_eps = mp.prec, epsilon()
+    mp.prec = bits
+    numerics.set_epsilon("1e-60")
+    try:
+        draw = [v / 3 * scale for v in random_admissible(random.Random(seed), 2 * s - 3)]
+        if kind != "full":
+            draw = [mpc(v.real) if kind == "real" else mpc(0, v.imag) for v in draw]
+        params = constructions.ReducibleParams(draw[0], tuple(
+            (draw[1 + 2 * k], draw[2 + 2 * k]) for k in range(s - 2)))
+        equations = constructions.derive_equations_reducible(params)
+        subset = [equations[k] for k in positions]
+        samples = [_kernel_sample(*recipe, scale) for recipe in recipes]
+        assert constructions.sampled_identity_errors(params, subset, samples) == \
+            sampled_identity_errors_reference(params, subset, samples)
+    finally:
+        mp.prec = saved
+        numerics.set_epsilon(saved_eps)
 
 
 @settings(max_examples=40, deadline=None)
