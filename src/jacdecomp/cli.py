@@ -162,7 +162,7 @@ def _common_options() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["text", "json"], default="text")
     common.add_argument("--precision", type=int, default=None,
-                        help="working precision in bits (>= 53)")
+                        help="working precision in bits, 53 to %d" % numerics.PRECISION_MAX)
     common.add_argument("--epsilon", default=None,
                         help="comparison tolerance (default 1e-9)")
     return common

@@ -688,9 +688,9 @@ def compare_with_reference(equations, reference) -> list[EquationComparison]:
         max_err = 0.0
         remaining = list(eq.roots)
         for want in roots:
-            best_idx, best = None, None
+            best_idx, best, scale = None, None, 1 + abs(want)
             for idx, have in enumerate(remaining):
-                err = float(abs(have - want) / (1 + abs(want)))
+                err = float(abs(have - want) / scale)
                 if best is None or err < best:
                     best_idx, best = idx, err
             if best_idx is None or best > ROOT_MATCH_TOLERANCE:
@@ -706,79 +706,67 @@ def compare_with_reference(equations, reference) -> list[EquationComparison]:
     return out
 
 
-# The sampled identity runs on complex values held as signed integers
-# (re_man, re_exp, im_man, im_exp): each part is man * 2^exp with man odd,
-# or man = 0.
+# The sampled identity runs on complex values held as Gaussian integers with
+# one exponent: (x, y, e) is (x + iy) 2^e.  A zero part does not set e.
 
 
-def _int_part(x) -> tuple:
-    """(man, exp) of a raw mpf tuple, the mantissa signed."""
-    sign, man, exp, _ = x
-    return (-man if sign else man), exp
+def _gauss(z) -> tuple:
+    """(x, y, e) of a raw ``_mpc_`` tuple."""
+    (s1, x, e1, _), (s2, y, e2, _) = z
+    x, y = -x if s1 else x, -y if s2 else y
+    if not y or (x and e1 < e2):
+        return x, y << (e2 - e1) if y else 0, e1
+    return x << (e1 - e2) if x else 0, y, e2
 
 
-def _int_complex(z) -> tuple:
-    """(re_man, re_exp, im_man, im_exp) of a raw ``_mpc_`` tuple."""
-    return (*_int_part(z[0]), *_int_part(z[1]))
-
-
-def _sum(m1: int, e1: int, m2: int, e2: int, prec: int) -> tuple:
-    """m1 2^e1 + m2 2^e2, formed exactly and rounded once to prec bits,
-    nearest-even, as (man, exp) with man odd or 0."""
-    if not m2:
-        m, e = m1, e1
-    elif not m1:
-        m, e = m2, e2
-    elif e1 >= e2:
-        m, e = (m1 << (e1 - e2)) + m2, e2
-    else:
-        m, e = m1 + (m2 << (e2 - e1)), e1
-    n = m.bit_length() - prec
+def _round(x: int, y: int, e: int, prec: int) -> tuple:
+    """(x + iy) 2^e with each part rounded once to prec bits, nearest-even,
+    back at one exponent: the lower of the nonzero parts'."""
+    n = x.bit_length() - prec
     if n > 0:
         # floor shift, plus one above the half and at the half of an odd quotient
-        m = (m + ((m >> n) & 1) + (1 << (n - 1)) - 1) >> n
-        e += n
-    if m and not m & 1:
-        n = (m & -m).bit_length() - 1
-        m >>= n
-        e += n
-    return m, e
+        x = (x + ((x >> n) & 1) + (1 << (n - 1)) - 1) >> n
+    k = y.bit_length() - prec
+    if k > 0:
+        y = (y + ((y >> k) & 1) + (1 << (k - 1)) - 1) >> k
+    if n > k:
+        if n <= 0:
+            return x, y, e
+        if k > 0:
+            return x << (n - k), y, e + k
+        return (x << n, y, e) if y else (x, 0, e + n)
+    if k <= 0:
+        return x, y, e
+    if n > 0:
+        return x, y << (k - n), e + n
+    return (x, y << k, e) if x else (0, y, e + k)
 
 
-def _mul(x, y, prec: int) -> tuple:
-    """x * y: exact part products and sums, each part rounded once."""
-    a, ae, b, be = x
-    c, ce, d, de = y
-    return (*_sum(a * c, ae + ce, -(b * d), be + de, prec),
-            *_sum(a * d, ae + de, b * c, be + ce, prec))
+def _gmul(p, q, prec: int) -> tuple:
+    """p * q: four exact integer products, each part rounded once."""
+    x, y, e = p
+    u, v, f = q
+    return _round(x * u - y * v, x * v + y * u, e + f, prec)
 
 
-def _add(x, y, prec: int) -> tuple:
-    """x + y: exact part sums, each part rounded once."""
-    return (*_sum(x[0], x[1], y[0], y[1], prec),
-            *_sum(x[2], x[3], y[2], y[3], prec))
-
-
-def _sub(x, y, prec: int) -> tuple:
-    """x - y: exact part differences, each part rounded once."""
-    return (*_sum(x[0], x[1], -y[0], y[1], prec),
-            *_sum(x[2], x[3], -y[2], y[3], prec))
+def _gadd(p, q, prec: int) -> tuple:
+    """p + q: exact part sums at the lower exponent, each part rounded once."""
+    x, y, e = p
+    u, v, f = q
+    if e > f:
+        return _round((x << (e - f)) + u, (y << (e - f)) + v, f, prec)
+    return _round(x + (u << (f - e)), y + (v << (f - e)), e, prec)
 
 
 def _modulus(z) -> tuple:
     """(h, e) with |z| = h 2^e for a nonzero z, h a double in [1/2, 2): each
-    part is read from the top 64 bits of its mantissa and scaled to below 1
-    before hypot."""
-    m1, e1, m2, e2 = z
-    n1, n2 = m1.bit_length(), m2.bit_length()
-    top = max(n1 + e1 if m1 else n2 + e2, n2 + e2 if m2 else n1 + e1)
-    if n1 > 64:
-        m1 >>= n1 - 64
-        e1 += n1 - 64
-    if n2 > 64:
-        m2 >>= n2 - 64
-        e2 += n2 - 64
-    return hypot(ldexp(m1, e1 - top), ldexp(m2, e2 - top)), top
+    part is read from the top 64 bits of its own mantissa and scaled to
+    below 1 before hypot."""
+    x, y, e = z
+    n1, n2 = x.bit_length(), y.bit_length()
+    top = max(n1, n2) + e
+    s1, s2 = max(n1 - 64, 0), max(n2 - 64, 0)
+    return hypot(ldexp(x >> s1, e - top + s1), ldexp(y >> s2, e - top + s2)), top
 
 
 def _error(d, raw) -> float:
@@ -787,7 +775,7 @@ def _error(d, raw) -> float:
     exponents stay apart until the last ldexp, so no step overflows; an
     error beyond the double range is inf."""
     h, e = _modulus(d)
-    if raw[0] or raw[2]:
+    if raw[0] or raw[1]:
         r, top = _modulus(raw)
         if top > 0:
             h, e = h / (ldexp(1.0, -top) + r), e - top
@@ -814,18 +802,17 @@ def sampled_identity_errors(params: ReducibleParams, equations, samples) -> list
     equation holding that root.
 
     Arithmetic.  Forms, constants, roots and samples are converted once to
-    signed integer mantissas and exponents.  Every real and imaginary part
-    of the form values, the table, the differences, the expanded chains and
-    d = expanded - raw is the exact result of its integer part products and
-    sums, rounded once to mp.prec bits, nearest-even (_sum).
+    Gaussian integers with one exponent (_gauss).  Every real and imaginary
+    part of the form values, the table, the differences, the expanded chains
+    and d = expanded - raw is the exact result of its integer part products
+    and sums, rounded once to mp.prec bits, nearest-even (_round).
 
     Error.  Each nonzero d gives |d| / (1 + |raw|) as a double (_error),
     within 2^-49 relative (plus 2^-1074 absolute) of the exact quotient of
     that d and raw; a d of 0 has error 0.0 exactly.
     """
     prec = mp.prec
-    *groups, last = [[(_int_complex(const._mpc_), _int_complex(coeff._mpc_))
-                      for const, coeff in group]
+    *groups, last = [[(_gauss(const._mpc_), _gauss(coeff._mpc_)) for const, coeff in group]
                      for group in _coordinate_forms(params)]
     (last_const, last_coeff), = last
     # the lower entries of odd weight, the ones the last coordinate joins
@@ -835,29 +822,29 @@ def sampled_identity_errors(params: ReducibleParams, equations, samples) -> list
     for eq in equations:
         mask = sum(bit << j for j, bit in enumerate(eq.alpha))
         indices = [distinct.setdefault(root._mpc_, len(distinct)) for root in eq.roots]
-        plan.append((mask, _int_complex(eq.constant._mpc_), indices))
-    roots = [_int_complex(root) for root in distinct]
-    one = (1, 0, 0, 0)  # the value 1 as _int_complex gives it
+        plan.append((mask, _gauss(eq.constant._mpc_), indices))
+    negated = [(-x, -y, e) for x, y, e in map(_gauss, distinct)]
     errors = [0.0] * len(equations)
     for z in samples:
-        z = _int_complex(to_complex(z)._mpc_)
-        table = [one]
+        z = _gauss(to_complex(z)._mpc_)
+        table = [(1, 0, 0)]
         for group in groups:
-            values = [_add(const, _mul(coeff, z, prec), prec) for const, coeff in group]
+            values = [_gadd(const, _gmul(coeff, z, prec), prec) for const, coeff in group]
             for lower in range(len(table)):
                 raw = table[lower]
                 for value in values:
-                    raw = _mul(raw, value, prec)
+                    raw = _gmul(raw, value, prec)
                 table.append(raw)
-        value = _add(last_const, _mul(last_coeff, z, prec), prec)
-        table.extend([_mul(raw, value, prec) if joins else None
+        value = _gadd(last_const, _gmul(last_coeff, z, prec), prec)
+        table.extend([_gmul(raw, value, prec) if joins else None
                       for raw, joins in zip(table, odd)])
-        differences = [_sub(z, root, prec) for root in roots]
-        for k, (mask, expanded, indices) in enumerate(plan):
+        differences = [_gadd(z, root, prec) for root in negated]
+        for k, (mask, (x, y, e), indices) in enumerate(plan):
             for i in indices:
-                expanded = _mul(expanded, differences[i], prec)
+                u, v, f = differences[i]
+                x, y, e = _round(x * u - y * v, x * v + y * u, e + f, prec)
             raw = table[mask]
-            d = _sub(expanded, raw, prec)
-            if d[0] or d[2]:
+            d = _gadd((x, y, e), (-raw[0], -raw[1], raw[2]), prec)
+            if d[0] or d[1]:
                 errors[k] = max(errors[k], _error(d, raw))
     return errors

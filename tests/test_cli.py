@@ -520,6 +520,29 @@ def test_bad_precision_env_variable_exits_2():
                               "least 53 bits, got %r\n" % value)
 
 
+@pytest.mark.parametrize("bits", ["65537", "1000000000"])
+def test_precision_above_the_cap_exits_2_before_any_work(capsys, monkeypatch, bits):
+    import mpmath
+
+    def no_work(args):
+        raise AssertionError("verify ran")
+
+    monkeypatch.setattr(cli, "cmd_verify", no_work)
+    before = mpmath.mp.prec
+    status, out, err = run_cli(capsys, "verify", "crosscheck", "--s", "3",
+                               "--precision", bits)
+    assert (status, out) == (2, "")
+    assert err == "error: precision is capped at <= 65536 bits, got %s\n" % bits
+    assert mpmath.mp.prec == before
+
+
+def test_precision_env_variable_above_the_cap_exits_2():
+    out = python_with_precision_env("1000000", "-m", "jacdecomp.cli", "verify", "crosscheck",
+                                    "--s", "3")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == "error: precision is capped at <= 65536 bits, got 1000000\n"
+
+
 def test_unset_precision_env_variable_keeps_default():
     out = python_with_precision_env(None, "-c", "import jacdecomp, mpmath; print(mpmath.mp.prec)")
     assert out.stdout.strip() == "128"

@@ -3,6 +3,7 @@ import random
 import pytest
 from mpmath import mp, mpc, mpf, sqrt
 
+from jacdecomp import numerics
 from jacdecomp.numerics import (
     INFINITY,
     CollidingPoints,
@@ -39,6 +40,18 @@ def test_precision_default_is_high():
 def test_precision_floor():
     with pytest.raises(ValueError):
         set_precision(52)
+
+
+def test_precision_cap():
+    saved = mp.prec
+    try:
+        set_precision(numerics.PRECISION_MAX)
+        assert mp.prec == numerics.PRECISION_MAX == 65536
+        with pytest.raises(ValueError, match="capped at <= 65536 bits, got 65537"):
+            set_precision(65537)
+        assert mp.prec == 65536
+    finally:
+        mp.prec = saved
 
 
 def test_epsilon_must_be_positive():

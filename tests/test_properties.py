@@ -25,7 +25,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import fone, from_man_exp, fzero, mpc_add, mpc_mul, mpc_sub, mpf_add, round_nearest
+from mpmath.libmp import (fone, from_man_exp, fzero, mpc_add, mpc_mul, mpc_sub, mpf_add, mpf_pos,
+                          round_nearest)
 
 from jacdecomp import cli, constructions, legendre, numerics
 from jacdecomp.constructions import factor_lambda_invariant
@@ -725,9 +726,16 @@ def test_factor_curves_with_an_infinite_root_render_per_root(seed):
 
 
 _ROUNDING_PRECISIONS = [53, 97, 128, 256]
+
+
+def _gsub(p, q, prec):
+    # the kernel's differences: p plus q negated
+    return constructions._gadd(p, (-q[0], -q[1], q[2]), prec)
+
+
 # each kernel with the libmp operator that, at precision 0, gives its exact parts
-_LIBMP = {"mul": (constructions._mul, mpc_mul), "add": (constructions._add, mpc_add),
-          "sub": (constructions._sub, mpc_sub)}
+_LIBMP = {"mul": (constructions._gmul, mpc_mul), "add": (constructions._gadd, mpc_add),
+          "sub": (_gsub, mpc_sub)}
 
 
 @st.composite
@@ -779,40 +787,41 @@ def rounding_cases(draw):
 def test_integer_arithmetic_rounds_each_exact_part_once(case):
     prec, op, z, w = case
     ours, libmp = _LIBMP[op]
-    got = ours(constructions._int_complex(z), constructions._int_complex(w), prec)
-    want = [from_man_exp(*constructions._int_part(part), prec, round_nearest)
-            for part in libmp(z, w, 0)]
-    assert [from_man_exp(*got[:2]), from_man_exp(*got[2:])] == want
+    x, y, e = ours(constructions._gauss(z), constructions._gauss(w), prec)
+    want = [mpf_pos(part, prec, round_nearest) for part in libmp(z, w, 0)]
+    assert [from_man_exp(x, e), from_man_exp(y, e)] == want
 
 
 @st.composite
-def _int_values(draw, prec):
-    """A complex value as _int_complex gives it: each part zero or an odd
-    signed mantissa of up to prec bits, at an exponent from the subnormal
-    doubles to past the largest double."""
+def _gauss_values(draw, prec):
+    """A complex value as _gauss gives it: each part zero or an odd signed
+    mantissa of up to prec bits, at an exponent from the subnormal doubles
+    to past the largest double, both at the lower exponent of the nonzero
+    parts."""
     parts = []
     for _ in range(2):
         if draw(st.integers(0, 9)) == 0:
-            parts += [0, 0]
+            parts.append(fzero)
             continue
         man = draw(st.integers(0, (1 << (prec - 1)) - 1)) * 2 + 1
-        parts += [man if draw(st.booleans()) else -man, draw(st.integers(-1500, 1200))]
-    return tuple(parts)
+        parts.append(from_man_exp(man if draw(st.booleans()) else -man,
+                                  draw(st.integers(-1500, 1200))))
+    return constructions._gauss(tuple(parts))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([53, 128, 1024, 1100]).flatmap(
-    lambda prec: st.tuples(_int_values(prec), _int_values(prec))))
+    lambda prec: st.tuples(_gauss_values(prec), _gauss_values(prec))))
 def test_error_step_is_within_its_contract_of_the_exact_quotient(case):
     # _error against |d| / (1 + |raw|) of the same d and raw, evaluated at
     # a precision that holds every part exactly
     d, raw = case
-    assume(d[0] or d[2])
+    assume(d[0] or d[1])
     got = constructions._error(d, raw)
     saved = mp.prec
     mp.prec = 4000
     try:
-        parts = [mpf(from_man_exp(*p)) for p in (d[:2], d[2:], raw[:2], raw[2:])]
+        parts = [mpf(from_man_exp(m, z[2])) for z in (d, raw) for m in z[:2]]
         exact = abs(mpc(parts[0], parts[1])) / (1 + abs(mpc(parts[2], parts[3])))
         if got == math.inf:
             assert exact >= mpf(2) ** 1024 * (1 - mpf(2) ** -49)
@@ -828,7 +837,7 @@ def test_far_operand_sum_is_the_exact_rounding(prec):
     # unit above the tie, minus a little over 2^lead at an exponent 102 bits
     # lower: with leading bits more than prec + 4 apart mpf_add perturbs
     # instead of subtracting and rounds up, while the exact difference
-    # rounds down; at prec + 4 apart it subtracts.  _sum rounds the exact
+    # rounds down; at prec + 4 apart it subtracts.  _gadd rounds the exact
     # difference in every row.
     big = (1 << (2 * prec - 1)) | (1 << (prec - 1)) | 1
     for lead, perturbs in ((1, True), (prec - 6, True), (prec - 5, False)):
@@ -836,7 +845,8 @@ def test_far_operand_sum_is_the_exact_rounding(prec):
         libmp = mpf_add(from_man_exp(big, 0), from_man_exp(small, -102), prec, round_nearest)
         exact = from_man_exp((big << 102) + small, -102, prec, round_nearest)
         assert (libmp != exact) == perturbs
-        assert from_man_exp(*constructions._sum(big, 0, small, -102, prec)) == exact
+        x, _, e = constructions._gadd((big, 0, 0), (small, 0, -102), prec)
+        assert from_man_exp(x, e) == exact
 
 
 _DIGITS = st.text("0123456789", min_size=1, max_size=6)
