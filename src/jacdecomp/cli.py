@@ -14,7 +14,7 @@ import json
 import random
 import sys
 
-from mpmath import mpc
+from mpmath import mp, mpc
 
 from . import constructions as cons
 from . import cover, legendre, numerics
@@ -296,9 +296,9 @@ def cmd_verify(args) -> tuple[dict, int]:
 # `--mu` or `--chain`): both walk the 2^rank - 1 nonzero functionals, so time
 # and output double with every step of the rank.
 RANK_MAX = 16
-# Largest `verify crosscheck --s`: the derived system and the sampled table
-# hold 2^s entries each, so the time doubles with every step of s.
-CROSSCHECK_MAX_S = 16
+# Largest `verify crosscheck` work, 2^s times the precision: its tables hold
+# 2^s entries of that many bits (s <= 16 at 128 bits, s <= 7 at 65,536: 15 s).
+CROSSCHECK_MAX_WORK = 1 << 23
 # Largest `verify identities --max`: the time grows faster than max^3
 # (about 11 s at 1000).
 IDENTITIES_MAX = 256
@@ -317,9 +317,11 @@ def _crosscheck(s: int, seed: int) -> dict:
     """Derived equation system versus closed forms and raw form products."""
     if s < 3:
         raise legendre.InvalidDomain("crosscheck needs s >= 3")
-    if s > CROSSCHECK_MAX_S:
-        raise legendre.InvalidDomain("crosscheck is capped at s <= %d (its tables hold 2^s "
-                                     "entries), got %d" % (CROSSCHECK_MAX_S, s))
+    # min() bounds the shift: from s = 24 on, every precision exceeds the cap
+    if mp.prec << min(s, 24) > CROSSCHECK_MAX_WORK:
+        raise legendre.InvalidDomain("crosscheck is capped at 2^s * precision <= 2^23 (its "
+                                     "tables hold 2^s entries), got s = %d at %d bits"
+                                     % (s, mp.prec))
     rng = random.Random(seed)
     checks: dict[str, dict] = {}
     if s == 3:

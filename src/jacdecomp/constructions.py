@@ -36,9 +36,9 @@ from .numerics import (
     first_collision,
     first_near,
     format_point,
+    negligible,
     solve_quadratic,
     to_complex,
-    within_epsilon,
 )
 
 
@@ -262,10 +262,6 @@ def derive_equations_reducible(params: ReducibleParams) -> list[CurveEquation]:
     """
     s = params.s
     groups = _coordinate_forms(params)
-    for group in groups:
-        for _, coeff in group:
-            if within_epsilon(coeff._mpc_):
-                raise DegenerateParameter("vanishing linear-form coefficient")
     constants, roots = [mpc(1)], [()]
     for group in groups:
         zeros = tuple(-const / coeff for const, coeff in group)
@@ -295,12 +291,10 @@ def _pick_root(quadratic, admit, oracles, orbits: OrbitTable, heading: str,
     pair (mu, k mu) passes the (target, p1, p2, message) oracles in order:
     the cross-ratio of (p1, p2, mu, k mu) lies in the target's orbit from
     ``orbits``.  Admission has shown those points pairwise distinct under
-    the same close rule, so the cross-ratio is cross_ratio_unchecked: the
-    formula (k mu - p2)(mu - p1) / ((k mu - p1)(mu - p2)), which raises
-    CollidingPoints when the denominator is within epsilon of 0 and is
-    otherwise accurate to 16 units of 2^-mp.prec of its modulus.  A root
-    stops at its first failure; only then is that message, a
-    ``str.format`` template over ``mu`` and ``context``, formatted."""
+    the same close rule, so the cross-ratio is cross_ratio_unchecked, whose
+    admissibility same_curve tests.  A root stops at its first failure;
+    only then is that message, a ``str.format`` template over ``mu`` and
+    ``context``, formatted."""
     failures = []
     for root in solve_quadratic(*quadratic):
         try:
@@ -517,8 +511,9 @@ def check_genus13_family(l1, l2) -> Genus13Report:
     l3 = l1 / l2
     l4 = l1 * (l2 - 1) / (l2 - l1)
     values = require_admissible_tuple([l1, l2, l3, l4])
-    residual = l2 * l2 * (1 + l1) - 4 * l1 * l2 + l1 * (1 + l1)
-    if not within_epsilon(residual._mpc_):
+    terms = l2 * l2 * (1 + l1), 4 * l1 * l2, l1 * (1 + l1)
+    residual = terms[0] - terms[1] + terms[2]
+    if not negligible(residual, *terms):
         raise ConstraintViolated(
             "constraint residual %s exceeds tolerance" % format_point(residual),
             residual)
@@ -550,12 +545,11 @@ def tag_factors(report: DecompositionReport, candidates,
     The candidates' orbits come from ``orbits`` (a fresh table when None)
     and form one list of near entries in candidate order, so the first entry
     close to the invariant belongs to the first matching candidate.  Each
-    invariant is cross_ratio_unchecked of the factor's roots, with its pole
-    rule and accuracy contract: the roots are branch points of one
-    CoverModel, which has already checked them for collisions with the
-    same points_equal rule.  Each branch-point difference p - q is formed
-    once per call and serves every factor that needs it.  One double copy
-    of each invariant serves the admissibility test and the orbit scan."""
+    invariant is cross_ratio_unchecked of the factor's roots, which their
+    CoverModel has checked with the same close rule.  Each difference p - q
+    is formed once per call and serves every factor that needs it.  One
+    sphere copy of each invariant serves the admissibility test and the
+    orbit scan."""
     orbits = OrbitTable() if orbits is None else orbits
     owners, table = [], []
     for candidate in candidates:

@@ -7,8 +7,8 @@ orbit of the six-element group generated by t -> 1/t and t -> 1 - t.
 
 from __future__ import annotations
 
+import cmath
 import functools
-import math
 import random
 from dataclasses import dataclass, field
 
@@ -17,10 +17,10 @@ from mpmath import mp, mpc
 # cross_ratio_lambda is re-exported: it is the Legendre parameter t of four
 # branch points normalized to (inf, 0, 1, t), which same_curve compares.
 from .numerics import (  # noqa: F401
+    INFINITY,
     DomainError,
     MobiusMap,
     NotInvolution,
-    copy_entry,
     cross_ratio_lambda,
     entry_value,
     first_collision,
@@ -28,7 +28,8 @@ from .numerics import (  # noqa: F401
     format_point,
     near_entry,
     near_table,
-    points_equal,
+    reciprocal_copy,
+    sphere_copy,
     to_complex,
     to_double,
     to_point,
@@ -39,11 +40,11 @@ class InvalidDomain(DomainError):
     """A parameter tuple violates its admissibility domain."""
 
 
-_ZERO_ONE = near_table([0, 1])
+_BOUNDARY = near_table([0, 1, INFINITY])
 
 
 def require_admissible(value, name: str = "lambda") -> mpc:
-    """Check membership in the base domain (finite, away from 0 and 1)."""
+    """Check that a value is finite and not close to 0, 1 or inf."""
     lam = to_complex(value)
     admissible_entry(lam._mpc_, name)
     return lam
@@ -53,9 +54,10 @@ def admissible_entry(z, name: str = "lambda") -> tuple:
     """require_admissible for a finite raw ``_mpc_`` tuple z; returns its
     near_entry, so the double copy serves later orbit scans too."""
     entry = near_entry(z)
-    if first_near(entry, _ZERO_ONE) is not None:
-        raise InvalidDomain("%s = %s is not admissible (too close to 0 or 1)"
-                            % (name, format_point(mp.make_mpc(z))))
+    k = first_near(entry, _BOUNDARY)
+    if k is not None:
+        raise InvalidDomain("%s = %s is not admissible (too close to %s)"
+                            % (name, format_point(mp.make_mpc(z)), "inf" if k == 2 else "0 or 1"))
     return entry
 
 
@@ -80,32 +82,27 @@ def orbit_images(t) -> list:
                               t / minus_one, minus_one / t)]
 
 
-# |t| and |1 - t| in [_COPY_LOW, _COPY_HIGH] bound the orbit copies' error.
-_COPY_LOW, _COPY_HIGH = 2.0 ** -1000, 2.0 ** 1000
-
-
 def _orbit_entries(t) -> list:
     """The near entries of the distinct orbit images of the raw tuple t, in
     orbit_images order; an image close to an earlier kept one is dropped.
 
-    The double copies are formed from t~ and o~, the double copies of t and
-    of o = 1 - t (one mpc subtraction): t~, 1/t~, o~, 1/o~, -t~/o~ and
-    -o~/t~.  While |t~| and |o~| lie in [2^-1000, 2^1000], each copy lies
-    within 2^-48 of its image's modulus, plus 2^-1074 per part: t~ and o~
-    round each part once, a double quotient adds a few units of 2^-53 and
-    the mpc image differs from the exact quotient by a unit of 2^-mp.prec,
-    so first_near's slack covers them.  Outside that range every entry gets
-    the reach inf.  The images themselves are orbit_images(t), built the
-    first time first_near or s3_orbit reads one of them (entry_value)."""
+    The sphere copies of t, o = 1 - t and -t/o are sphere_copy of t~, o~ and
+    -t~/o~, with t~ and o~ the double copies of t and o; those of 1/t, 1/o
+    and (t - 1)/t are their reciprocal_copy.  Each lies within 2^-48 of its
+    point, as first_near requires: t~, o~ and the quotient add a few units
+    of 2^-53.  When t~ or o~ has an infinite part, or o~ is 0, each copy is
+    read from its image.  The images are orbit_images(t), built when one of
+    them is first read (entry_value)."""
     one_minus = (1 - mp.make_mpc(t))._mpc_
     td, od = to_double(t), to_double(one_minus)
     images = functools.cache(functools.partial(orbit_images, t))
-    values = [t, lambda: images()[1], one_minus, lambda: images()[3],
-              lambda: images()[4], lambda: images()[5]]
-    if _COPY_LOW <= abs(td) <= _COPY_HIGH and _COPY_LOW <= abs(od) <= _COPY_HIGH:
-        entries = map(copy_entry, (td, 1 / td, od, 1 / od, -td / od, -od / td), values)
+    if cmath.isfinite(td) and cmath.isfinite(od) and od:
+        values = [t, lambda: images()[1], one_minus, lambda: images()[3],
+                  lambda: images()[4], lambda: images()[5]]
+        copies = [sphere_copy(td, t), sphere_copy(od, one_minus), sphere_copy(-td / od, values[4])]
+        entries = zip([c for copy in copies for c in (copy, reciprocal_copy(copy))], values)
     else:
-        entries = ((0j, math.inf, value) for value in values)
+        entries = map(near_entry, images())
     kept: list = []
     for entry in entries:
         if first_near(entry, kept) is None:
@@ -146,13 +143,6 @@ class OrbitTable:
         return first_near(entry, self.orbit(l1)) is not None
 
 
-def j_invariant(value) -> mpc:
-    """256 (1 - t + t^2)^3 / (t^2 (1 - t)^2); constant on each parameter orbit."""
-    lam = require_admissible(value)
-    num = 256 * (1 - lam + lam * lam) ** 3
-    return num / (lam * lam * (1 - lam) ** 2)
-
-
 def same_curve(l1, l2) -> bool:
     """True when the two parameters describe isomorphic genus-1 curves
     (one lookup in a fresh OrbitTable)."""
@@ -190,27 +180,22 @@ def branch_set_pairing(m: MobiusMap, points) -> PairingResult:
 
     Returns the induced fixed-point-free pairing when the map permutes the
     set; otherwise a failed result carrying the first offending point (one
-    that is fixed, or whose image leaves the set).
+    that is fixed, or whose image leaves the set).  Points are compared with
+    close, through first_near over one near_table of the set.
     """
     if not m.is_involution():
         raise NotInvolution("map with matrix (%s, %s; %s, %s) is not an involution"
                             % (m.a, m.b, m.c, m.d))
     pts = [to_point(p) for p in points]
+    table = near_table(pts)
     result = PairingResult()
-    used = [False] * len(pts)
-    for i, p in enumerate(pts):
-        if used[i]:
-            continue
-        image = m.apply(p)
-        if points_equal(image, p):
+    # The points before the first unpaired one are paired: a match at 0 is fixed
+    unpaired = list(range(len(pts)))
+    while unpaired:
+        p = pts[unpaired[0]]
+        k = first_near(near_table([m.apply(p)])[0], [table[j] for j in unpaired])
+        if not k:
             return PairingResult(pairs=result.pairs, offender=p)
-        partner = None
-        for j in range(len(pts)):
-            if j != i and not used[j] and points_equal(image, pts[j]):
-                partner = j
-                break
-        if partner is None:
-            return PairingResult(pairs=result.pairs, offender=p)
-        used[i] = used[partner] = True
-        result.pairs.append((p, pts[partner]))
+        result.pairs.append((p, pts[unpaired.pop(k)]))
+        del unpaired[0]
     return result

@@ -2,12 +2,15 @@
 
 Working values are mpmath complex numbers at a configurable binary
 precision (default 128 bits of mantissa).  The point at infinity is a
-dedicated symbol, never a large float.  All comparisons go through a
-single global tolerance, default 1e-9.
+dedicated symbol, never a large float.  One global tolerance, default 1e-9,
+decides every comparison: points by their chordal distance (close), and
+coefficients relative to the terms they are formed from (negligible).
 """
 
 from __future__ import annotations
 
+import bisect
+import cmath
 import math
 import operator
 import os
@@ -16,7 +19,7 @@ import sys
 from dataclasses import dataclass
 
 from mpmath import isfinite, mp, mpc, mpf, nstr, sqrt
-from mpmath.libmp import fzero, mpc_to_complex, round_nearest
+from mpmath.libmp import fone, mpc_sub, mpc_to_complex, mpf_add, mpf_le, mpf_mul, round_nearest
 
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_EPSILON = "1e-9"
@@ -33,7 +36,8 @@ class CollidingPoints(DomainError):
 
 
 class DegenerateLeadingCoefficient(DomainError):
-    """Quadratic solver called with |a| below tolerance."""
+    """Quadratic solver called with a leading coefficient negligible against
+    the coefficients."""
 
 
 class NotInvolution(DomainError):
@@ -55,14 +59,15 @@ def set_precision(bits: int) -> None:
     mp.prec = bits
 
 
-def set_epsilon(eps) -> None:
-    """Set the global comparison tolerance, in (0, 1); a string must be a
-    body of the literal grammar, a decimal or p/q.
+# Slack of the double prefilters in first_near and negligible (see there).
+_SLACK = 2.0 ** -40
 
-    Every builder places the branch values 0 and 1, which are 1 apart, so no
-    construction can succeed with a tolerance of 1 or more.  The double copy
-    of the tolerance that first_near reads is kept beside it."""
-    global _epsilon, _epsilon_float
+
+def set_epsilon(eps) -> None:
+    """Set the global comparison tolerance, in (0, 1), the chordal diameter
+    of the sphere; a string must be a decimal or p/q of the literal grammar.
+    first_near's bounds on the chord between two copies are kept beside it."""
+    global _epsilon, _chord_bounds
     if isinstance(eps, str):
         if _NUMBER.fullmatch(eps.strip()) is None:
             raise ValueError("epsilon must be a decimal or p/q number, got %r" % eps)
@@ -73,7 +78,8 @@ def set_epsilon(eps) -> None:
         raise ValueError("epsilon must be positive and finite, got %r" % eps)
     if value >= 1:
         raise ValueError("epsilon must be below 1, got %r" % eps)
-    _epsilon, _epsilon_float = value, float(value)
+    _epsilon = value
+    _chord_bounds = 2 * (float(value) + _SLACK), 2 * (float(value) - _SLACK)
 
 
 def epsilon() -> mpf:
@@ -92,6 +98,9 @@ def _precision_from_env() -> int:
     if bits < 53:
         raise ValueError("%s must be an integer of at least 53 bits, got %r"
                          % (_PRECISION_ENV, text))
+    if bits > PRECISION_MAX:
+        raise ValueError("%s is capped at <= %d bits, got %r"
+                         % (_PRECISION_ENV, PRECISION_MAX, text))
     return bits
 
 
@@ -103,8 +112,7 @@ try:
 except ValueError as exc:
     set_precision(DEFAULT_PRECISION_BITS)
     ENV_ERROR = exc
-_epsilon = mpf(DEFAULT_EPSILON)
-_epsilon_float = float(_epsilon)
+set_epsilon(mpf(DEFAULT_EPSILON))
 
 
 class _Infinity:
@@ -145,144 +153,148 @@ def to_point(x):
     return to_complex(x)
 
 
+def _raw(p):
+    """INFINITY, or the raw ``_mpc_`` tuple of a value coerced as mpc does."""
+    return p if is_infinity(p) else (p if type(p) is mpc else mpc(p))._mpc_
+
+
+def _lifted(z, prec) -> tuple:  # 1 + |z|^2 of a raw _mpc_ tuple
+    return mpf_add(fone, mpf_add(mpf_mul(z[0], z[0]), mpf_mul(z[1], z[1]), prec), prec)
+
+
 def close(a, b) -> bool:
-    """Tolerance equality of two finite values."""
-    if type(a) is not mpc:
-        a = mpc(a)
-    if type(b) is not mpc:
-        b = mpc(b)
-    return abs(a - b) <= _epsilon
+    """Tolerance equality on the sphere: the chordal distance
+
+        |a - b| / sqrt((1 + |a|^2)(1 + |b|^2)),  or 1 / sqrt(1 + |b|^2) for a = inf,
+
+    is at most epsilon (tested squared); t -> 1/t preserves it.  A finite
+    value is coerced as mpc coerces it."""
+    a, b = _raw(a), _raw(b)
+    if is_infinity(a):
+        a, b = b, a
+    prec = mp.prec
+    bound = mpf_mul(_epsilon._mpf_, _epsilon._mpf_, prec)
+    if is_infinity(b):
+        return is_infinity(a) or mpf_le(fone, mpf_mul(bound, _lifted(a, prec), prec))
+    d = mpc_sub(a, b, prec)
+    return mpf_le(mpf_add(mpf_mul(d[0], d[0]), mpf_mul(d[1], d[1]), prec),
+                  mpf_mul(mpf_mul(bound, _lifted(a, prec), prec), _lifted(b, prec), prec))
 
 
-# Slack of the double prefilter in first_near (see its docstring).
-_NEAR_REL = 2.0 ** -40
-_NEAR_ABS = 2.0 ** -1000
-_NEAR_LIMIT = 2.0 ** 1000
-
-
-def near_entry(z) -> tuple:
-    """(double copy, 2^-40 times its modulus, z) for a raw ``_mpc_`` tuple z;
-    a copy with a part not below 2^1000 in size, inf or nan included, gets
-    the reach inf."""
-    return copy_entry(to_double(z), z)
+# The double ranges that sphere_copy and negligible read directly.
+_LARGE = 2.0 ** 500
+_TINY = 2.0 ** -1000
 
 
 def to_double(z) -> complex:
-    """The double copy of a raw ``_mpc_`` tuple: each part rounded to nearest
-    (inf beyond the double range)."""
+    """The double copy of a raw ``_mpc_`` tuple, each part rounded to nearest."""
     return mpc_to_complex(z, False, round_nearest)
 
 
-def copy_entry(d: complex, z) -> tuple:
-    """near_entry with the double copy d of the value z given: d must lie
-    within 2^-48 of z's modulus, plus 2^-1074 per part (first_near).  The
-    value is a raw ``_mpc_`` tuple or a function of no arguments that
-    returns one, called only when the value is read (entry_value)."""
-    if abs(d.real) < _NEAR_LIMIT and abs(d.imag) < _NEAR_LIMIT:
-        return d, _NEAR_REL * abs(d), z
-    return 0j, math.inf, z
+def _stereographic(d: complex) -> tuple:
+    x, y = d.real, d.imag
+    n = x * x + y * y
+    return 2 * x / (1 + n), 2 * y / (1 + n), (n - 1) / (1 + n)
 
 
-def entry_value(entry) -> mpc:
-    """The value of a near entry, as an mpc."""
-    z = entry[2]
-    return mp.make_mpc(z() if callable(z) else z)
+def reciprocal_copy(copy: tuple) -> tuple:
+    """The sphere copy of 1/z from that of z: (X, Y, Z) -> (X, -Y, -Z)."""
+    return copy[0], -copy[1], -copy[2]
 
 
-def near_table(values) -> list:
-    """The values, in order, as a table for first_near; each value is
-    coerced as close coerces it and converted to a double once."""
-    return [near_entry((v if type(v) is mpc else mpc(v))._mpc_) for v in values]
+def sphere_copy(d: complex, z) -> tuple:
+    """The point (2x, 2y, |d|^2 - 1) / (1 + |d|^2) of the unit sphere, in
+    doubles, of d, a double within a relative 2^-50 of z.  A d with a part
+    above 2^500 is read through 1/d, and one with a part that is inf through
+    1/z in mpc; z is a raw ``_mpc_`` tuple or a function that returns one."""
+    if abs(d.real) <= _LARGE and abs(d.imag) <= _LARGE:
+        return _stereographic(d)
+    if cmath.isfinite(d):
+        return reciprocal_copy(_stereographic(1 / d))
+    w = 1 / mp.make_mpc(z() if callable(z) else z)
+    return reciprocal_copy(_stereographic(to_double(w._mpc_)))
 
 
-def _near_bounds(reach):
-    """first_near's skip and accept bounds on the double gap to an entry of
-    reach 0, for a value of the given reach."""
-    slack = _NEAR_REL * _epsilon_float + reach + _NEAR_ABS
-    return _epsilon_float + slack, _epsilon_float - slack
+def near_entry(z) -> tuple:
+    """(sphere copy, z) for a raw ``_mpc_`` tuple z, or for INFINITY."""
+    if is_infinity(z):
+        return (0.0, 0.0, 1.0), z
+    return sphere_copy(to_double(z), z), z
+
+
+def entry_value(entry):
+    """The point of a near entry: INFINITY or an mpc."""
+    z = entry[1]() if callable(entry[1]) else entry[1]
+    return z if is_infinity(z) else mp.make_mpc(z)
+
+
+def near_table(points) -> list:
+    """The near entries of the points, in order, coerced as close does."""
+    return [near_entry(_raw(p)) for p in points]
 
 
 def first_near(entry, table):
     """Index of the first entry of a near_table that close accepts with the
-    value of ``entry`` (its near_entry), or None: the answer of a linear
+    point of ``entry`` (its near_entry), or None: the answer of a linear
     close scan, with a double prefilter.
 
-    With x~, v~ the double copies and eps~ the tolerance as a double, an
-    entry is skipped without calling close only when, in double arithmetic,
-
-        |x~ - v~| > eps~ + 2^-40 (eps~ + |x~| + |v~|) + 2^-1000,
-
-    and accepted without calling close only when
-
-        |x~ - v~| < eps~ - 2^-40 (eps~ + |x~| + |v~|) - 2^-1000.
-
-    A copy lies within 2^-48 of its value's modulus, plus 2^-1074 per part
-    below the normal range (near_entry's conversion moves each part by one
-    unit in the last place at most, 2^-52 of its size; copy_entry's callers
-    state their own bound), the few double operations add a few units of
-    2^-53, and close's own subtraction and modulus round by a relative
-    2^-53 at most; the 2^-40 and 2^-1000 terms exceed that sum, so a
-    skipped value lies farther than the tolerance from x and an accepted
-    one nearer.  Parts below 2^1000 keep every double finite.  Every other
-    entry is decided by close, on the values (entry_value); so is every
-    entry when a copy has a part not below 2^1000 (its reach is then inf).
+    The chord between two points of the unit sphere is twice their chordal
+    distance.  Every sphere copy lies within 2^-48 of its point: a relative
+    error r of a value moves its point by a chord of at most r, a part below
+    the normal range by at most 2^-1073, and sphere_copy's double operations
+    add a few units of 2^-53.  So an entry is skipped without calling close
+    only when the chord c between the copies, in doubles, exceeds
+    2 (eps + 2^-40), and accepted only when c < 2 (eps - 2^-40): 2^-40
+    covers both copies' error, the rounding of c and close's own rounding, a
+    relative few units of 2^-mp.prec of a distance at most 1.
     """
-    xd, reach, _ = entry
-    outer, inner = _near_bounds(reach)
+    copy = entry[0]
+    skip, accept = _chord_bounds
     for k, v in enumerate(table):
-        gap = abs(xd - v[0])
-        if gap <= outer + v[1] and (
-                gap < inner - v[1] or close(entry_value(entry), entry_value(v))):
+        chord = math.dist(copy, v[0])
+        if chord <= skip and (chord < accept or close(entry_value(entry), entry_value(v))):
             return k
     return None
 
 
-_ZERO_TABLE = [near_entry((fzero, fzero))]
-
-
-def within_epsilon(z) -> bool:
-    """abs(z) <= epsilon for a raw ``_mpc_`` tuple z rounded to the working
-    precision, with mpc abs's answer: first_near against the single value 0,
-    so decided from the double copy of z outside the slack stated there and
-    by close inside it."""
-    return first_near(near_entry(z), _ZERO_TABLE) is not None
-
-
-def points_equal(p, q) -> bool:
-    """Tolerance equality on the sphere."""
-    if is_infinity(p) or is_infinity(q):
-        return is_infinity(p) and is_infinity(q)
-    return close(p, q)
-
-
 def first_collision(points):
-    """The first pair (i, j), i < j, of points equal within tolerance, or None:
-    the answer of a scan of every pair with points_equal in (i, j) order.
+    """The first pair (i, j), i < j, of points that close accepts, or None:
+    the answer of a scan of every pair with close in (i, j) order.
 
-    Two infinities always collide.  The finite points are sorted by the real
-    parts of their double copies (near_table) and swept: only pairs whose
-    real parts lie within first_near's skip bound for the largest reach are
-    candidates, and first_near decides each.  A reach of inf makes every
-    pair a candidate.
-    """
-    pts = list(points)
-    infinite = [k for k, p in enumerate(pts) if is_infinity(p)]
-    finite = [k for k, p in enumerate(pts) if not is_infinity(p)]
-    entries = dict(zip(finite, near_table([pts[k] for k in finite])))
-    top = max((entry[1] for entry in entries.values()), default=0.0)
-    window = _near_bounds(top)[0] + top
-    swept = sorted((entries[k][0].real, k) for k in finite)
-    pairs = [tuple(infinite[:2])] if len(infinite) > 1 else []
-    for a, (x, i) in enumerate(swept):
-        b = a + 1
-        while b < len(swept) and swept[b][0] - x <= window:
-            j = swept[b][1]
-            pairs.append((min(i, j), max(i, j)))
-            b += 1
-    for i, j in sorted(pairs):
-        if is_infinity(pts[i]) or first_near(entries[i], [entries[j]]) is not None:
+    The sphere copies (near_table) are sorted on X and swept: an X gap never
+    exceeds the chord, so only pairs within first_near's skip bound in X
+    are candidates, and first_near decides each."""
+    entries = near_table(points)
+    swept = sorted((entry[0][0], k) for k, entry in enumerate(entries))
+    xs = [x for x, _ in swept]
+    pairs = sorted((min(i, j), max(i, j)) for a, (x, i) in enumerate(swept)
+                   for _, j in swept[a + 1:bisect.bisect_right(xs, x + _chord_bounds[0])])
+    for i, j in pairs:
+        if first_near(entries[i], [entries[j]]) is not None:
             return i, j
     return None
+
+
+def _modulus(z) -> float:
+    d = to_double(z._mpc_)
+    return math.hypot(d.real, d.imag)
+
+
+def negligible(x, *terms) -> bool:
+    """|x| <= epsilon * max |term| for mpc x and terms, with mpc's answer.
+
+    Decided from double moduli when epsilon and the bound are at least
+    2^-1000, every modulus is finite and the test clears a relative 2^-40,
+    which covers their error (2^-51 relative, 2^-1073 absolute) and mpc's."""
+    eps = float(_epsilon)
+    size = _modulus(x)
+    bound = eps * max(map(_modulus, terms))
+    if _TINY <= eps and _TINY <= bound and max(size, bound) < math.inf:
+        if size > bound * (1 + _SLACK):
+            return False
+        if size < bound * (1 - _SLACK):
+            return True
+    return abs(x) <= _epsilon * max(abs(t) for t in terms)
 
 
 def point_sort_key(p):
@@ -427,41 +439,26 @@ class MobiusMap:
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, to_complex(getattr(self, name)))
-        if within_epsilon((self.a * self.d - self.b * self.c)._mpc_):
-            raise ValueError("Mobius map is singular: |ad - bc| <= epsilon")
+        ad, bc = self.a * self.d, self.b * self.c
+        if negligible(ad - bc, ad, bc):
+            raise ValueError("Mobius map is singular: |ad - bc| <= epsilon max(|ad|, |bc|)")
 
     def apply(self, p):
-        """Evaluate on a sphere point, with projective pole conventions."""
+        """Evaluate on a sphere point: INFINITY where the denominator is 0;
+        near a pole the value is finite, and close compares it with inf."""
         if is_infinity(p):
-            if within_epsilon(self.c._mpc_):
-                return INFINITY
-            return self.a / self.c
+            return INFINITY if self.c == 0 else self.a / self.c
         z = to_complex(p)
         den = self.c * z + self.d
-        if within_epsilon(den._mpc_):
-            return INFINITY
-        return (self.a * z + self.b) / den
+        return INFINITY if den == 0 else (self.a * z + self.b) / den
 
     def is_involution(self) -> bool:
-        """True when the matrix squared is a multiple of the identity, within
-        tolerance relative to its largest entry (the square may be nearly singular)."""
+        """True when the matrix squared is a multiple of the identity: its
+        off-diagonal entries and diagonal difference are negligible against
+        its entries (the square may be nearly singular)."""
         a, b, c, d = self.a, self.b, self.c, self.d
-        a2, b2 = a * a + b * c, a * b + b * d
-        c2, d2 = c * a + d * c, c * b + d * d
-        scale = max(abs(a2), abs(b2), abs(c2), abs(d2))
-        return (
-            abs(b2) <= _epsilon * scale
-            and abs(c2) <= _epsilon * scale
-            and abs(a2 - d2) <= _epsilon * scale
-        )
-
-
-def _require_distinct(points) -> None:
-    pts = list(points)
-    pair = first_collision(pts)
-    if pair is not None:
-        raise CollidingPoints("points %s and %s coincide within tolerance"
-                              % (format_point(pts[pair[0]]), format_point(pts[pair[1]])))
+        square = a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d
+        return all(negligible(x, *square) for x in (square[1], square[2], square[0] - square[3]))
 
 
 def cross_ratio_lambda(p1, p2, p3, p4) -> mpc:
@@ -470,12 +467,13 @@ def cross_ratio_lambda(p1, p2, p3, p4) -> mpc:
     cross-ratio (p4 - p2)(p3 - p1) / ((p4 - p1)(p3 - p2)).
 
     The four points must be pairwise distinct (CollidingPoints names the
-    first pair that is not), so the result is finite and avoids 0 and 1.
-    After that check this is cross_ratio_unchecked, with its pole rule and
-    accuracy contract.
+    first pair that is not); then this is cross_ratio_unchecked.
     """
     points = [p1, p2, p3, p4]
-    _require_distinct(points)
+    pair = first_collision(points)
+    if pair is not None:
+        raise CollidingPoints("points %s and %s coincide within tolerance"
+                              % (format_point(points[pair[0]]), format_point(points[pair[1]])))
     return cross_ratio_unchecked(*[p if is_infinity(p) else to_complex(p) for p in points])
 
 
@@ -486,15 +484,13 @@ def cross_ratio_unchecked(p1, p2, p3, p4, difference=operator.sub) -> mpc:
         (p4 - p2)(p3 - p1) / ((p4 - p1)(p3 - p2))
 
     in mpc operators, with the factors that hold inf dropped (at most one
-    point is inf).  ``difference(p, q)`` gives each finite difference p - q:
-    a caller that meets the same points again may pass a memo of the same
-    subtraction, which changes no bit.
-
-    Pole rule: CollidingPoints when within_epsilon holds for the
-    denominator's product (p4 - p1)(p3 - p2), which in exact arithmetic is
-    the standard map's denominator c p4 + d with c = p3 - p2.  Accuracy:
-    the modulus error is at most 16 units of 2^-mp.prec of the value's
-    modulus, against the same formula at twice the working precision.
+    point is inf); its denominator is nonzero, as mpf does not underflow.
+    ``difference(p, q)`` gives each finite difference p - q: a caller that
+    meets the same points again may pass a memo of the same subtraction,
+    which changes no bit.  Accuracy: the modulus error is at most 16 units
+    of 2^-mp.prec of the value's modulus, against the same formula at twice
+    the working precision.  The value may lie within tolerance of 0, 1 or
+    inf, which admissibility tests.
     """
     def product(p, q, r, s):
         if is_infinity(p) or is_infinity(q):
@@ -502,10 +498,7 @@ def cross_ratio_unchecked(p1, p2, p3, p4, difference=operator.sub) -> mpc:
         if is_infinity(r) or is_infinity(s):
             return difference(p, q)
         return difference(p, q) * difference(r, s)
-    den = product(p4, p1, p3, p2)
-    if within_epsilon(den._mpc_):
-        raise CollidingPoints("fourth point collides with the first within tolerance")
-    return product(p4, p2, p3, p1) / den
+    return product(p4, p2, p3, p1) / product(p4, p1, p3, p2)
 
 
 def solve_quadratic(a, b, c) -> tuple[mpc, mpc]:
@@ -515,7 +508,7 @@ def solve_quadratic(a, b, c) -> tuple[mpc, mpc]:
     by descending real part.
     """
     a, b, c = to_complex(a), to_complex(b), to_complex(c)
-    if within_epsilon(a._mpc_):
+    if negligible(a, a, b, c):
         raise DegenerateLeadingCoefficient("leading coefficient is zero within tolerance")
     disc = b * b - 4 * a * c
     root = sqrt(disc)

@@ -1,16 +1,20 @@
 """Shared generators for the randomized suites (seeded, deterministic), the
-close scans over the parameter orbit that the orbit table is checked
-against, the reference loop of the sampled equation identity with its
-error contract, the two-part integer kernel of the sampled identity whose
-error list the one-exponent kernel must equal, the rendering of a complex value from its two mpf parts
-that format_complex is checked against, and the per-root rendering of
+chordal distance and the points at a given chordal distance that the
+tolerance tests are checked against, the close scans over the parameter
+orbit that the orbit table is checked against, the exact Gaussian-rational
+oracle for tags and admissibility, the reference loop of the sampled
+equation identity with its error contract, the two-part integer kernel of
+the sampled identity whose error list the one-exponent kernel must equal,
+the rendering of a complex value from its two mpf parts that
+format_complex is checked against, and the per-root rendering of
 equations that the CLI's term tables are checked against."""
 
 import math
 import random
+from fractions import Fraction
 from math import hypot, ldexp
 
-from mpmath import mp, mpc, mpf, nstr
+from mpmath import conj, mp, mpc, mpf, nstr, sqrt
 
 from jacdecomp import constructions, numerics
 from jacdecomp.constructions import ReducibleParams, _coordinate_forms
@@ -19,11 +23,62 @@ from jacdecomp.legendre import orbit_images, require_admissible, s3_orbit
 from jacdecomp.legendre import random_admissible  # noqa: F401  (shared by the suites)
 
 
+_BOUNDARY_DIRECTIONS = (1, -1, 1j, mpc(3, 4) / 5)
+
+
 def boundary_values():
     """Values of modulus epsilon * (1 -/+ 2^-30) in four directions, just
     inside and just outside the tolerance in force."""
     return [numerics.epsilon() * (1 + sign * mpf(2) ** -30) * mpc(direction)
-            for sign in (-1, 1) for direction in (1, -1, 1j, mpc(3, 4) / 5)]
+            for sign in (-1, 1) for direction in _BOUNDARY_DIRECTIONS]
+
+
+def chordal(a, b) -> mpf:
+    """The chordal distance |a - b| / sqrt((1 + |a|^2)(1 + |b|^2)), with
+    d(inf, b) = 1 / sqrt(1 + |b|^2), at twice the working precision."""
+    if numerics.is_infinity(a):
+        a, b = b, a
+    with mp.workprec(2 * mp.prec):
+        if numerics.is_infinity(b):
+            return mpf(0) if numerics.is_infinity(a) else 1 / sqrt(1 + abs(mpc(a)) ** 2)
+        a, b = mpc(a), mpc(b)
+        return abs(a - b) / sqrt((1 + abs(a) ** 2) * (1 + abs(b) ** 2))
+
+
+def sphere_gap(entry) -> mpf:
+    """The distance in R^3 between the sphere copy of a near entry and the
+    point of its value on the unit sphere, (2x, 2y, |z|^2 - 1) / (1 + |z|^2)
+    or (0, 0, 1) for inf, formed at 4,000 bits."""
+    value = numerics.entry_value(entry)
+    with mp.workprec(4000):
+        if numerics.is_infinity(value):
+            point = [mpf(0), mpf(0), mpf(1)]
+        else:
+            n = value.real ** 2 + value.imag ** 2
+            point = [2 * value.real / (1 + n), 2 * value.imag / (1 + n), (n - 1) / (1 + n)]
+        return sqrt(sum((mpf(c) - p) ** 2 for c, p in zip(entry[0], point)))
+
+
+def chordal_neighbour(center, step, direction):
+    """A point at chordal distance step * epsilon from center (a value or
+    inf): the rotation w -> (w + c)/(1 - conj(c) w) of the sphere, which
+    takes 0 to c, or w -> 1/w for inf, applied to the point w in the given
+    direction at that distance from 0.  A distance of 1 or more, past the
+    sphere's diameter, gives a far point instead."""
+    delta = step * numerics.epsilon()
+    w = (delta / sqrt(1 - delta * delta) if delta < 1 else delta) * mpc(direction)
+    if numerics.is_infinity(center):
+        return numerics.INFINITY if w == 0 else 1 / w
+    c = mpc(center)
+    den = 1 - conj(c) * w
+    return numerics.INFINITY if den == 0 else (w + c) / den
+
+
+def chordal_boundary_values(center=0):
+    """Points at chordal distance epsilon * (1 -/+ 2^-30) from center in four
+    directions, just inside and just outside the tolerance in force."""
+    return [chordal_neighbour(center, 1 + sign * mpf(2) ** -30, direction)
+            for sign in (-1, 1) for direction in _BOUNDARY_DIRECTIONS]
 
 
 def same_curve_by_scan(l1, l2) -> bool:
@@ -42,6 +97,101 @@ def orbit_by_close_scan(t) -> list:
         if not any(numerics.close(w, v) for v in kept):
             kept.append(w)
     return kept
+
+
+class GaussianRational:
+    """x + y i with Fraction parts: exact field arithmetic, equality, the
+    nearest mpc and a literal of the CLI grammar (p/q parts)."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @staticmethod
+    def _of(x):
+        return x if isinstance(x, GaussianRational) else GaussianRational(x)
+
+    def __add__(self, other):
+        other = self._of(other)
+        return GaussianRational(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return GaussianRational(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + -self._of(other)
+
+    def __rsub__(self, other):
+        return self._of(other) - self
+
+    def __mul__(self, other):
+        other = self._of(other)
+        return GaussianRational(self.re * other.re - self.im * other.im,
+                                self.re * other.im + self.im * other.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._of(other)
+        norm = other.re * other.re + other.im * other.im
+        return self * GaussianRational(other.re / norm, -other.im / norm)
+
+    def __rtruediv__(self, other):
+        return self._of(other) / self
+
+    def __pow__(self, n: int):
+        out = GaussianRational(1)
+        for _ in range(n):
+            out *= self
+        return out
+
+    def __eq__(self, other):
+        if not isinstance(other, (GaussianRational, int, Fraction)):
+            return NotImplemented
+        other = self._of(other)
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return self.literal()
+
+    def to_mpc(self) -> mpc:
+        return mpc(mpf(self.re.numerator) / self.re.denominator,
+                   mpf(self.im.numerator) / self.im.denominator)
+
+    def literal(self) -> str:
+        def body(x):
+            return "%d/%d" % (abs(x.numerator), x.denominator)
+        if not self.im:
+            return ("-" if self.re < 0 else "") + body(self.re)
+        imag = ("-" if self.im < 0 else "+") + body(self.im) + "i"
+        if not self.re:
+            return imag.lstrip("+")
+        return ("-" if self.re < 0 else "") + body(self.re) + imag
+
+
+def exact_j(t):
+    """j(t) = 256 (t^2 - t + 1)^3 / (t^2 (t - 1)^2) of an exact t other than 0
+    and 1: equal exactly when two parameters describe isomorphic curves."""
+    return 256 * (t * t - t + 1) ** 3 / (t * t * (t - 1) ** 2)
+
+
+def exact_orbit(t) -> list:
+    """t, 1/t, 1 - t, 1/(1 - t), t/(t - 1) and (t - 1)/t of an exact t."""
+    return [t, 1 / t, 1 - t, 1 / (1 - t), t / (t - 1), (t - 1) / t]
+
+
+def exact_cross_ratio(p1, p2, p3, p4):
+    """(p4 - p2)(p3 - p1) / ((p4 - p1)(p3 - p2)) of exact points, each None
+    for inf, with the factors that hold inf dropped."""
+    def factor(p, q):
+        return 1 if p is None or q is None else p - q
+    return factor(p4, p2) * factor(p3, p1) / (factor(p4, p1) * factor(p3, p2))
 
 
 def format_complex_reference(z) -> str:

@@ -238,15 +238,20 @@ def test_verify_identities_below_three_exits_2(capsys):
 
 
 def test_crosscheck_s_above_the_cap_exits_2(capsys, monkeypatch):
-    # refused before any table of 2^s entries is built
+    # refused before any table of 2^s entries is built: 2^s times the
+    # precision is capped at 2^23, so s <= 16 at 128 bits and s <= 7 at 65,536
     monkeypatch.setattr(constructions, "derive_equations_reducible", None)
-    for value in ("17", "64"):
+    for value, bits in (("17", "128"), ("64", "128"), ("1000000000", "128"),
+                        ("9", "65536"), ("8", "65536")):
         status, out, err = run_cli(capsys, "verify", "crosscheck", "--s", value,
-                                   "--format", "json")
+                                   "--precision", bits, "--format", "json")
         assert status == 2
         assert out == ""
-        assert err == ("error: crosscheck is capped at s <= 16 (its tables hold 2^s "
-                       "entries), got %s\n" % value)
+        assert err == ("error: crosscheck is capped at 2^s * precision <= 2^23 (its tables "
+                       "hold 2^s entries), got s = %s at %s bits\n" % (value, bits))
+    for value, bits in (("16", "128"), ("7", "65536")):
+        with pytest.raises(TypeError):  # past the cap, at the patched derivation
+            cli.main(["verify", "crosscheck", "--s", value, "--precision", bits])
 
 
 def test_identities_max_above_the_cap_exits_2(capsys, monkeypatch):
@@ -494,12 +499,36 @@ def test_deeply_nested_literal_is_read(capsys):
 
 
 def test_derived_value_beyond_the_double_range_exits_2(capsys):
-    # eta1 = (l1 - 1)/(l2 - 1) = 5e309 is finite but does not fit a double
+    # eta1 = (l1 - 1)/(l2 - 1) = 5e309 is finite but does not fit a double;
+    # l1 lies within 1e-301 of inf, so it is admitted under a tolerance below
+    # that
     status, out, err = run_cli(capsys, "construct", "genus2", "--l1", "1e301",
-                               "--l2", "1.000000002", "--format", "json")
+                               "--l2", "1.000000002", "--epsilon", "1e-400",
+                               "--format", "json")
     assert status == 2
     assert out == ""
     assert err == "error: value 5.0e+309 exceeds the double range\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["decompose", "irreducible", "--lambdas", "1e12,2,3"],
+     "lambda_1 = 1000000000000 is not admissible (too close to inf)"),
+    (["decompose", "irreducible", "--lambdas", "1e-12,2,3"],
+     "lambda_1 = 9.9999999999999998e-13 is not admissible (too close to 0 or 1)"),
+    (["decompose", "reducible", "--chain", "2,3,1e9"],
+     "lambda_3 = 1000000000 is not admissible (too close to inf)"),
+    (["construct", "genus2", "--l1", "3e40", "--l2", "7e40"],
+     "lambda_1 = 3.0000000000000002e+40 is not admissible (too close to inf)"),
+    (["verify", "g5", "--l1", "1e300", "--l2", "1.7976931348623157e308"],
+     "lambda_1 = 1.0000000000000001e+300 is not admissible (too close to inf)"),
+    # two distinct parameters that both render as 100000000: 5e-9 apart,
+    # 5e-25 in the chordal metric
+    (["decompose", "irreducible", "--lambdas", "100000000,100000000.000000005,3"],
+     "lambda_1 and lambda_2 coincide within tolerance (100000000)"),
+])
+def test_inputs_near_inf_are_measured_on_the_sphere(capsys, argv, message):
+    status, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (status, out, err) == (2, "", "error: %s\n" % message)
 
 
 def python_with_precision_env(value, *args):
@@ -540,7 +569,7 @@ def test_precision_env_variable_above_the_cap_exits_2():
     out = python_with_precision_env("1000000", "-m", "jacdecomp.cli", "verify", "crosscheck",
                                     "--s", "3")
     assert (out.returncode, out.stdout) == (2, "")
-    assert out.stderr == "error: precision is capped at <= 65536 bits, got 1000000\n"
+    assert out.stderr == "error: JACDECOMP_PRECISION is capped at <= 65536 bits, got '1000000'\n"
 
 
 def test_unset_precision_env_variable_keeps_default():

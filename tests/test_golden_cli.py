@@ -30,9 +30,11 @@ CASES = {
                                  "2,3,4,5,6,7,8"],
     "decompose_irreducible_r8": ["decompose", "irreducible",
                                  "--lambdas=-1,-2,-3,1/3,2/3,1+i,1-i,0.1+2.9i"],
-    # two distinct points whose sort keys tie at double precision
+    # two distinct points whose sort keys tie at double precision, 5e-25
+    # apart in the chordal metric, so distinct only under a tolerance below it
     "decompose_irreducible_key_tie": ["decompose", "irreducible", "--lambdas",
-                                      "100000000,100000000.000000005,3"],
+                                      "100000000,100000000.000000005,3",
+                                      "--epsilon", "1e-30"],
     # 1/2 lies in the orbit of 2: the first candidate, in input order, wins
     "decompose_irreducible_shared_orbit": ["decompose", "irreducible", "--lambdas",
                                            "2,0.5,3"],

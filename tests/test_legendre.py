@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from mpmath import exp, mp, mpc, mpf, pi, sqrt
@@ -8,7 +9,6 @@ from jacdecomp.legendre import (
     InvalidDomain,
     OrbitTable,
     branch_set_pairing,
-    j_invariant,
     orbit_images,
     require_admissible,
     require_admissible_tuple,
@@ -17,7 +17,15 @@ from jacdecomp.legendre import (
 )
 from jacdecomp.numerics import INFINITY, MobiusMap, NotInvolution, close, cross_ratio_lambda
 
-from helpers import orbit_by_close_scan, random_admissible, same_curve_by_scan
+from helpers import (
+    GaussianRational,
+    exact_j,
+    exact_orbit,
+    orbit_by_close_scan,
+    random_admissible,
+    same_curve_by_scan,
+    sphere_gap,
+)
 
 
 def orbit_by_hand(lam, eps=1e-9):
@@ -93,20 +101,25 @@ def test_orbit_matches_independent_closure():
 
 
 def test_j_invariant_values():
-    # 256 (1 - 2 + 4)^3 / (4 * 1) = 1728, and constant along the orbit
-    assert close(j_invariant(2), 1728)
-    assert close(j_invariant(-1), 1728)
-    assert close(j_invariant(0.5), 1728)
-    lam = exp(mpc(0, 1) * pi / 3)
-    assert abs(j_invariant(lam)) < 1e-9
+    # 256 (4 - 2 + 1)^3 / (4 * 1) = 1728 on the orbit of 2, exactly
+    for t in (2, -1, Fraction(1, 2)):
+        assert exact_j(GaussianRational(t)) == 1728
+    assert exact_j(GaussianRational(3)) != 1728
 
 
 def test_j_invariant_constant_on_orbits():
+    # s3_orbit lists values near the exact images of a Gaussian-rational t,
+    # and the exact j is the same on all of them
     rng = random.Random(23)
-    for lam in random_admissible(rng, 200):
-        j = j_invariant(lam)
-        for other in s3_orbit(lam):
-            assert abs(j_invariant(other) - j) < 1e-9 * (1 + abs(j))
+    for _ in range(200):
+        t = GaussianRational(*(Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+                               for _ in range(2)))
+        if t == 0 or t == 1:
+            continue
+        images = exact_orbit(t)
+        assert len({exact_j(w) for w in images}) == 1
+        for value in s3_orbit(t.to_mpc()):
+            assert any(close(value, w.to_mpc()) for w in images)
 
 
 def test_same_curve_examples():
@@ -264,23 +277,20 @@ def test_orbit_table_matches_close_scan_at_extreme_moduli(tiny_epsilon):
 
 @pytest.mark.parametrize("bits", [53, 128, 256])
 def test_orbit_copies_lie_within_their_stated_bound(bits, tiny_epsilon):
-    """Each kept entry with a finite reach has its double copy within 2^-48
-    of its image's modulus, plus 2^-1074 per part."""
+    """Each kept entry has its sphere copy within 2^-48 of its image's point
+    on the unit sphere, at moduli up to 2^+-1100."""
     saved = mp.prec
     mp.prec = bits
     try:
         rng = random.Random(26)
         values = _stressed_parameters() + [
-            mpc(rng.uniform(-3, 3), rng.uniform(-3, 3)) * mpf(2) ** rng.randint(-990, 990)
-            for _ in range(300)]
+            mpc(rng.uniform(-3, 3), rng.uniform(-3, 3)) * mpf(2) ** rng.randint(-1100, 1100)
+            for _ in range(40)]
         for t in values:
             if t == 0 or t == 1:
                 continue
             for entry in legendre._orbit_entries(t._mpc_):
-                if entry[1] < float("inf"):
-                    value = numerics.entry_value(entry)
-                    bound = abs(value) * mpf(2) ** -48 + 2 * mpf(2) ** -1074
-                    assert abs(mpc(entry[0]) - value) <= bound
+                assert sphere_gap(entry) <= mpf(2) ** -48
     finally:
         mp.prec = saved
 

@@ -17,15 +17,22 @@ from jacdecomp.numerics import (
     format_point,
     is_infinity,
     parse_complex,
+    near_entry,
+    near_table,
+    first_near,
     parse_point,
-    points_equal,
     set_epsilon,
     set_precision,
     solve_quadratic,
-    within_epsilon,
 )
 
-from helpers import boundary_values, random_admissible, random_mobius
+from helpers import (
+    boundary_values,
+    chordal,
+    chordal_boundary_values,
+    random_admissible,
+    random_mobius,
+)
 
 
 def chi(z1, z2, z3, z4):
@@ -107,14 +114,25 @@ def test_to_complex_matches_wrapping_every_input():
 
 
 def test_close_matches_wrapping_every_input():
+    # offsets in units of epsilon (1 + |z|^2), the chordal scale at z
     eps = epsilon()
-    near = [mpc(1, 2) / 3 + eps * 0.999, mpc(1, 2) / 3 + eps * 1.001,
-            mpf(1) / 3 + mpc(0, eps) * 0.5, mpc(0.75), mpc(0.75) - eps * 2]
-    for a in COERCION_INPUTS + near:
-        for b in COERCION_INPUTS + near:
-            assert close(a, b) == (abs(mpc(a) - mpc(b)) <= eps)
+    near = [mpc(1, 2) / 3 + eps * 0.999 * 14 / 9, mpc(1, 2) / 3 + eps * 1.001 * 14 / 9,
+            mpf(1) / 3 + mpc(0, eps) * 0.5 * 10 / 9, mpc(0.75), mpc(0.75) - eps * 2 * 25 / 16]
+    for a in COERCION_INPUTS + near + [INFINITY]:
+        for b in COERCION_INPUTS + near + [INFINITY]:
+            assert close(a, b) == (chordal(a, b) <= eps)
     assert close(near[0], mpc(1, 2) / 3) and not close(near[1], mpc(1, 2) / 3)
     assert close(mpc(0.75), "0.75") and not close(near[-1], 0.75)
+
+
+def test_close_treats_infinity_as_a_point():
+    eps = epsilon()
+    for z in chordal_boundary_values(INFINITY):
+        assert close(z, INFINITY) == close(INFINITY, z) == (chordal(z, INFINITY) <= eps)
+    assert close(INFINITY, INFINITY) and not close(INFINITY, 1e8)
+    assert close(1e12, -1e12) and close(1e12, INFINITY) and not close(1e12, 0)
+    # t -> 1/t is an isometry: 1e-12 is as close to 0 as 1e12 is to inf
+    assert close(1e-12, 0) and not close(1e-8, 0) and not close(1e8, INFINITY)
 
 
 def test_mobius_inversion_sends_infinity_to_zero():
@@ -145,7 +163,7 @@ def test_mobius_bijection_roundtrip():
         inv = MobiusMap(m.d, -m.b, -m.c, m.a)
         points = [INFINITY] + random_admissible(rng, 5)
         for p in points:
-            assert points_equal(inv.apply(m.apply(p)), p)
+            assert close(inv.apply(m.apply(p)), p)
 
 
 def test_is_involution_on_the_pairing_maps():
@@ -202,11 +220,16 @@ def test_cross_ratio_close_distinct_triple_is_finite():
     assert close(cross_ratio_lambda(0, 1e-4, 2e-4, 5), mpf("1.99996"))
 
 
-def test_cross_ratio_pole_names_first_point():
-    # the fourth point lands on the pole of the standard map: |c z4 + d| = 6e-10
-    with pytest.raises(CollidingPoints) as info:
-        cross_ratio_lambda(0, 1, 1 + 2e-5, 3e-5)
-    assert str(info.value) == "fourth point collides with the first within tolerance"
+def test_cross_ratio_near_the_pole_is_inadmissible():
+    # the fourth point lands near the pole of the standard map, |c z4 + d| =
+    # 6e-10: the value is finite, within epsilon of inf, and admissibility
+    # names it
+    from jacdecomp.legendre import InvalidDomain, require_admissible
+
+    value = cross_ratio_lambda(0, 1, 1 + 2e-5, 3e-5)
+    assert not is_infinity(value) and close(value, INFINITY)
+    with pytest.raises(InvalidDomain, match=r"too close to inf\)$"):
+        require_admissible(value)
 
 
 def test_collision_messages_name_first_pair():
@@ -281,17 +304,35 @@ def raises(function, *args):
 
 @pytest.mark.parametrize("eps", ["1e-30", "1e-9", "0.25"])
 def test_mobius_and_quadratic_tolerance_tests_at_the_boundary(eps):
-    # each test decides as the literal mpc abs(x) <= epsilon does
+    # The coefficient tests decide as the literal mpc rule |x| <= epsilon
+    # max |term| does: x of modulus epsilon (1 -/+ 2^-30) against terms of
+    # modulus 1.  At 256 bits, 1 - x keeps that offset at every epsilon.
+    mp.prec = 256
     set_epsilon(eps)
     decisions = set()
     for x in boundary_values():
         inside = abs(x) <= epsilon()
         decisions.add(inside)
-        assert raises(MobiusMap, x, 0, 0, 1) == inside                  # ad - bc = x
-        assert is_infinity(MobiusMap(1, 1, x, 1).apply(INFINITY)) == inside
-        assert is_infinity(MobiusMap(1, 1, 1, x).apply(0)) == inside     # cz + d = x
+        ad, bc = mpc(1), 1 * (1 - x)                                     # ad - bc = x
+        assert raises(MobiusMap, 1, 1, 1 - x, 1) == (
+            abs(ad - bc) <= epsilon() * max(abs(ad), abs(bc)))
+        assert raises(MobiusMap, x, 0, 0, 1) is False                    # z -> x z
         assert raises(solve_quadratic, x, 1, 1) == inside
     assert decisions == {True, False}
+    # A point at chordal distance epsilon (1 -/+ 2^-30) from 0 maps to one
+    # as far from inf: apply returns the finite value, which close compares
+    # with INFINITY; only an exactly zero denominator gives INFINITY.
+    decisions = set()
+    for x in chordal_boundary_values(0):
+        inside = chordal(x, 0) <= epsilon()
+        decisions.add(inside)
+        for image in (MobiusMap(1, 1, x, 1).apply(INFINITY),            # a / c = 1/x
+                      MobiusMap(1, 1, 1, x).apply(0)):                   # cz + d = x
+            assert not is_infinity(image)
+            assert close(image, INFINITY) == inside
+    assert decisions == {True, False}
+    assert is_infinity(MobiusMap(1, 1, 0, 1).apply(INFINITY))
+    assert is_infinity(MobiusMap(1, 1, 1, 0).apply(0))
 
 
 def test_parse_complex_forms():
@@ -331,8 +372,11 @@ def test_prefilter_reads_the_tolerance_set_last():
     try:
         for eps in ("0.25", "1e-30", "1e-9"):
             set_epsilon(eps)
-            for z in boundary_values():
-                assert within_epsilon(z._mpc_) == (abs(z) <= epsilon())
+            for center in (0, INFINITY):
+                table = near_table([center])
+                for z in chordal_boundary_values(center):
+                    got = first_near(near_entry(z if is_infinity(z) else z._mpc_), table)
+                    assert (got is not None) == (chordal(z, center) <= epsilon())
     finally:
         set_epsilon(saved)
 
