@@ -9,7 +9,6 @@ coefficients relative to the terms they are formed from (negligible).
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 import operator
@@ -155,7 +154,7 @@ def to_point(x):
 
 def _raw(p):
     """INFINITY, or the raw ``_mpc_`` tuple of a value coerced as mpc does."""
-    return p if is_infinity(p) else (p if type(p) is mpc else mpc(p))._mpc_
+    return p if p is INFINITY else (p if type(p) is mpc else mpc(p))._mpc_
 
 
 def _lifted(z, prec) -> tuple:  # 1 + |z|^2 of a raw _mpc_ tuple
@@ -191,12 +190,6 @@ def to_double(z) -> complex:
     return mpc_to_complex(z, False, round_nearest)
 
 
-def _stereographic(d: complex) -> tuple:
-    x, y = d.real, d.imag
-    n = x * x + y * y
-    return 2 * x / (1 + n), 2 * y / (1 + n), (n - 1) / (1 + n)
-
-
 def reciprocal_copy(copy: tuple) -> tuple:
     """The sphere copy of 1/z from that of z: (X, Y, Z) -> (X, -Y, -Z)."""
     return copy[0], -copy[1], -copy[2]
@@ -207,17 +200,19 @@ def sphere_copy(d: complex, z) -> tuple:
     doubles, of d, a double within a relative 2^-50 of z.  A d with a part
     above 2^500 is read through 1/d, and one with a part that is inf through
     1/z in mpc; z is a raw ``_mpc_`` tuple or a function that returns one."""
-    if abs(d.real) <= _LARGE and abs(d.imag) <= _LARGE:
-        return _stereographic(d)
-    if cmath.isfinite(d):
-        return reciprocal_copy(_stereographic(1 / d))
-    w = 1 / mp.make_mpc(z() if callable(z) else z)
-    return reciprocal_copy(_stereographic(to_double(w._mpc_)))
+    x, y = d.real, d.imag
+    if abs(x) <= _LARGE and abs(y) <= _LARGE:
+        n = x * x + y * y
+        return 2 * x / (1 + n), 2 * y / (1 + n), (n - 1) / (1 + n)
+    if not cmath.isfinite(d):
+        d = to_double((1 / mp.make_mpc(z() if callable(z) else z))._mpc_)
+        return reciprocal_copy(sphere_copy(d, None))
+    return reciprocal_copy(sphere_copy(1 / d, None))
 
 
 def near_entry(z) -> tuple:
     """(sphere copy, z) for a raw ``_mpc_`` tuple z, or for INFINITY."""
-    if is_infinity(z):
+    if z is INFINITY:
         return (0.0, 0.0, 1.0), z
     return sphere_copy(to_double(z), z), z
 
@@ -266,10 +261,13 @@ def first_collision(points):
     are candidates, and first_near decides each."""
     entries = near_table(points)
     swept = sorted((entry[0][0], k) for k, entry in enumerate(entries))
-    xs = [x for x, _ in swept]
-    pairs = sorted((min(i, j), max(i, j)) for a, (x, i) in enumerate(swept)
-                   for _, j in swept[a + 1:bisect.bisect_right(xs, x + _chord_bounds[0])])
-    for i, j in pairs:
+    pairs = []
+    for a, (x, i) in enumerate(swept):
+        for y, j in swept[a + 1:]:
+            if y - x > _chord_bounds[0]:
+                break
+            pairs.append((min(i, j), max(i, j)))
+    for i, j in sorted(pairs):
         if first_near(entries[i], [entries[j]]) is not None:
             return i, j
     return None
