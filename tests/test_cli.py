@@ -8,7 +8,7 @@ import sys
 import pytest
 from mpmath import mpf
 
-from jacdecomp import cli, constructions, cover, numerics
+from jacdecomp import cli, constructions, cover, legendre, numerics
 
 
 def run_cli(capsys, *argv):
@@ -238,9 +238,9 @@ def test_verify_identities_below_three_exits_2(capsys):
 
 
 def test_crosscheck_s_above_the_cap_exits_2(capsys, monkeypatch):
-    # refused before any table of 2^s entries is built: 2^s times the
-    # precision is capped at 2^23, so s <= 16 at 128 bits and s <= 7 at 65,536
-    monkeypatch.setattr(constructions, "derive_equations_reducible", None)
+    # refused before any parameter is drawn: 2^s times the precision is
+    # capped at 2^23, so s <= 16 at 128 bits and s <= 7 at 65,536
+    monkeypatch.setattr(legendre, "random_admissible", None)
     for value, bits in (("17", "128"), ("64", "128"), ("1000000000", "128"),
                         ("9", "65536"), ("8", "65536")):
         status, out, err = run_cli(capsys, "verify", "crosscheck", "--s", value,
@@ -250,7 +250,7 @@ def test_crosscheck_s_above_the_cap_exits_2(capsys, monkeypatch):
         assert err == ("error: crosscheck is capped at 2^s * precision <= 2^23 (its tables "
                        "hold 2^s entries), got s = %s at %s bits\n" % (value, bits))
     for value, bits in (("16", "128"), ("7", "65536")):
-        with pytest.raises(TypeError):  # past the cap, at the patched derivation
+        with pytest.raises(TypeError):  # past the cap, at the patched draw
             cli.main(["verify", "crosscheck", "--s", value, "--precision", bits])
 
 

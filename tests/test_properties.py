@@ -6,8 +6,7 @@ the mpc modulus test, admissibility and same_curve under t -> 1/t, orbit
 tagging against the first-candidate close scan and, with admissibility,
 against the exact Gaussian-rational oracle, the orbit table and same_curve
 against the close scan over s3_orbit, cross_ratio_lambda against the
-cross-ratio formula
-at twice the precision, the solver oracles' distinct points after
+cross-ratio formula at twice the precision, the solver oracles' distinct points after
 admission, the sampled equation identity within its error contract of
 the one-product-per-equation reference loop and equal to the two-part
 integer kernel's, its integer arithmetic
@@ -252,7 +251,7 @@ def _resolve_probe(probe):
 
 @pytest.mark.parametrize("eps", ["1e-30", "1e-9", "0.25"])
 @pytest.mark.parametrize("bits", [53, 128, 256])
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(st.lists(st.builds(mpc, _PARTS, _PARTS), min_size=1, max_size=3), epsilon_probes())
 def test_negligible_is_the_modulus_test(eps, bits, terms, probe):
     """negligible(z, *terms) against |z| <= epsilon max |term| in mpc, with z
@@ -271,8 +270,8 @@ def test_negligible_is_the_modulus_test(eps, bits, terms, probe):
         numerics.set_epsilon(saved[1])
 
 
-# (a, b): a parameter at chordal offset a from 0, 1, inf or a drawn value,
-# in units of epsilon, straddling it; b a direction
+# chordal offsets of the drawn parameters from their centers, in units of
+# epsilon, straddling it
 _ANYWHERE = st.builds(mpc, _PARTS, _PARTS)
 _INVERSION_STEPS = st.sampled_from([0.5, 1 - 2 ** -30, 1 + 2 ** -30, 2, 1e6])
 
@@ -311,7 +310,7 @@ def _clear_of(value, points) -> bool:
 
 
 @pytest.mark.parametrize("eps", ["1e-30", "1e-9", "0.1"])
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(inversion_cases())
 def test_admissibility_and_same_curve_are_invariant_under_inversion(eps, case):
     """t -> 1/t is an isometry of the chordal metric that swaps 0 and inf and
@@ -440,7 +439,7 @@ def _separation(pairs) -> mpf:
 
 
 @pytest.mark.parametrize("eps", ["1e-9", "0.02"])
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(exact_parameters())
 def test_tags_and_admissibility_agree_with_the_exact_oracle(eps, values):
     """decompose irreducible on Gaussian-rational inputs, against exact
