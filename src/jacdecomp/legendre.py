@@ -12,7 +12,7 @@ import functools
 import random
 from dataclasses import dataclass, field
 
-from mpmath import mp, mpc
+from mpmath import mp, mpc, nstr
 
 # cross_ratio_lambda is re-exported: it is the Legendre parameter t of four
 # branch points normalized to (inf, 0, 1, t), which same_curve compares.
@@ -57,8 +57,19 @@ def admissible_entry(z, name: str = "lambda") -> tuple:
     k = first_near(entry, _BOUNDARY)
     if k is not None:
         raise InvalidDomain("%s = %s is not admissible (too close to %s)"
-                            % (name, format_point(mp.make_mpc(z)), "inf" if k == 2 else "0 or 1"))
+                            % (name, _shown(mp.make_mpc(z)), "inf" if k == 2 else "0 or 1"))
     return entry
+
+
+def _shown(z) -> str:
+    """format_point of a refused value; one with a part beyond the double
+    range, which format_point refuses, has its parts in nstr at 17 digits."""
+    try:
+        return format_point(z)
+    except ValueError:
+        if not z.imag:
+            return nstr(z.real, 17)
+        return "%s%s%si" % (nstr(z.real, 17), "-" if z.imag < 0 else "+", nstr(abs(z.imag), 17))
 
 
 def require_admissible_tuple(values, name: str = "lambda") -> list[mpc]:
@@ -68,7 +79,7 @@ def require_admissible_tuple(values, name: str = "lambda") -> list[mpc]:
     if pair is not None:
         i, j = pair
         raise InvalidDomain("%s_%d and %s_%d coincide within tolerance (%s)"
-                            % (name, i + 1, name, j + 1, format_point(out[i])))
+                            % (name, i + 1, name, j + 1, _shown(out[i])))
     return out
 
 

@@ -58,7 +58,7 @@ def set_precision(bits: int) -> None:
     mp.prec = bits
 
 
-# Slack of the double prefilters in first_near and negligible (see there).
+# Slack of the double prefilter in first_near (see there).
 _SLACK = 2.0 ** -40
 
 
@@ -180,9 +180,8 @@ def close(a, b) -> bool:
                   mpf_mul(mpf_mul(bound, _lifted(a, prec), prec), _lifted(b, prec), prec))
 
 
-# The double ranges that sphere_copy and negligible read directly.
+# The largest double part that sphere_copy reads directly.
 _LARGE = 2.0 ** 500
-_TINY = 2.0 ** -1000
 
 
 def to_double(z) -> complex:
@@ -273,25 +272,8 @@ def first_collision(points):
     return None
 
 
-def _modulus(z) -> float:
-    d = to_double(z._mpc_)
-    return math.hypot(d.real, d.imag)
-
-
 def negligible(x, *terms) -> bool:
-    """|x| <= epsilon * max |term| for mpc x and terms, with mpc's answer.
-
-    Decided from double moduli when epsilon and the bound are at least
-    2^-1000, every modulus is finite and the test clears a relative 2^-40,
-    which covers their error (2^-51 relative, 2^-1073 absolute) and mpc's."""
-    eps = float(_epsilon)
-    size = _modulus(x)
-    bound = eps * max(map(_modulus, terms))
-    if _TINY <= eps and _TINY <= bound and max(size, bound) < math.inf:
-        if size > bound * (1 + _SLACK):
-            return False
-        if size < bound * (1 - _SLACK):
-            return True
+    """|x| <= epsilon * max |term| for mpc x and terms."""
     return abs(x) <= _epsilon * max(abs(t) for t in terms)
 
 

@@ -470,6 +470,27 @@ def test_genus9_degenerate_square():
         genus9_parameters(4, 2)  # mu^2 = lambda collapses the first pair
 
 
+def test_derived_parameter_beyond_the_double_range_is_degenerate():
+    # at epsilon 1e-400 lam = 1e300 and mu = 1e-300 are admissible, and the
+    # derived lam/mu = 1e600, within epsilon of inf, is refused as a domain
+    # error whose message renders it
+    numerics.set_epsilon("1e-400")
+    with pytest.raises(DegenerateParameter, match=r"1\.0e\+600 is not admissible"):
+        genus9_parameters(mpf("1e300"), mpf("1e-300"))
+
+
+def test_pair_beyond_the_double_range_gives_way_to_the_other_root():
+    # roots 1e20 (tried first, descending real part) and 3, each admitted
+    # with the pair (mu, 1e390 mu); at epsilon 1e-400 the first pair's 1e410
+    # lies within epsilon of inf and the second's 3e390 does not
+    numerics.set_epsilon("1e-400")
+    big = mpf("1e20")
+    params = cons._pick_root((1, -(big + 3), 3 * big),
+                             lambda mu: ReducibleParams(mpc(2), ((mu, mpf("1e390") * mu),)),
+                             [], OrbitTable(), "no root: ")
+    assert abs(params.mu[0][0] - 3) < 1e-15
+
+
 # Upper bound and chain solver
 
 

@@ -71,6 +71,13 @@ def test_tuple_collision_message_names_first_pair():
     assert str(info.value) == "p_2 and p_3 coincide within tolerance (3)"
 
 
+def test_value_beyond_the_double_range_is_too_close_to_inf():
+    for value, shown in [(mpc("1e400"), "1.0e+400"), (mpc("-1e400", "-2e30"), "-1.0e+400-2.0e+30i")]:
+        with pytest.raises(InvalidDomain) as info:
+            require_admissible(value)
+        assert str(info.value) == "lambda = %s is not admissible (too close to inf)" % shown
+
+
 def test_orbit_of_two():
     orbit = s3_orbit(2)
     assert match_multiset(orbit, [mpc(2), mpc(0.5), mpc(-1)])
@@ -285,7 +292,7 @@ def test_orbit_copies_lie_within_their_stated_bound(bits, tiny_epsilon):
         rng = random.Random(26)
         values = _stressed_parameters() + [
             mpc(rng.uniform(-3, 3), rng.uniform(-3, 3)) * mpf(2) ** rng.randint(-1100, 1100)
-            for _ in range(40)]
+            for _ in range(300)]
         for t in values:
             if t == 0 or t == 1:
                 continue
