@@ -242,14 +242,7 @@ def cmd_verify(args) -> tuple[dict, int]:
             checks["irreducible_r%d" % s] = {"pass": lhs == rhs, "lhs": lhs, "rhs": rhs}
     elif args.verification == "g5":
         report = cons.check_genus5_family(parse_point(args.l1), parse_point(args.l2))
-        checks["pairing"] = {
-            "pass": report.pairing.ok,
-            "pairs": _pairs(report.pairing.pairs),
-        }
-        checks["elliptic_count"] = {
-            "pass": report.elliptic_count == 5,
-            "count": report.elliptic_count,
-        }
+        _split_checks(checks, report, lambda functional: "pairing")
         checks["factor_genera"] = {
             "pass": sorted(report.factor_genera) == [1, 1, 1, 2],
             "genera": sorted(report.factor_genera),
@@ -266,15 +259,7 @@ def cmd_verify(args) -> tuple[dict, int]:
             "l3": format_point(report.lambdas[2]),
             "l4": format_point(report.lambdas[3]),
         }
-        for functional, pairing in sorted(report.pairings.items()):
-            checks["pairing_%s" % functional_bits(functional, 4)] = {
-                "pass": pairing.ok,
-                "pairs": _pairs(pairing.pairs),
-            }
-        checks["elliptic_count"] = {
-            "pass": report.elliptic_count == 13,
-            "count": report.elliptic_count,
-        }
+        _split_checks(checks, report, lambda functional: "pairing_" + functional_bits(functional, 4))
     elif args.verification == "bound":
         if args.r > BOUND_MAX_R:
             raise cons.OutOfRange("bound is capped at r <= %d, got %d" % (BOUND_MAX_R, args.r))
@@ -305,6 +290,15 @@ IDENTITIES_MAX = 256
 # Largest `verify bound --r`: the bound has about 0.15 r decimal digits, and
 # from r = 28542 on it exceeds Python's int-to-str limit when rendered.
 BOUND_MAX_R = 1024
+
+
+def _split_checks(checks: dict, report: cons.SplitReport, key) -> None:
+    """Add each pairing of a split-family report, under key(functional), and
+    its elliptic count to ``checks``."""
+    for (functional, _), pairing in report.pairings.items():
+        checks[key(functional)] = {"pass": pairing.ok, "pairs": _pairs(pairing.pairs)}
+    checks["elliptic_count"] = {"pass": report.elliptic_count == report.total_genus,
+                                "count": report.elliptic_count}
 
 
 def _require_rank(rank: int) -> None:

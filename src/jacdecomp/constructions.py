@@ -21,7 +21,6 @@ from .cover import CoverModel, DecompositionReport, FactorCurve, decompose
 from .legendre import (
     InvalidDomain,
     OrbitTable,
-    PairingResult,
     admissible_entry,
     branch_set_pairing,
     cross_ratio_lambda,
@@ -443,63 +442,61 @@ def build_irreducible(lambdas) -> CoverModel:
     return CoverModel(r, branch)
 
 
-def _split_family(values, involutions: dict) -> tuple:
-    """Factor genera, pairings of the genus-2 factors listed in
-    ``involutions`` (functional -> MobiusMap) and the elliptic count (1 per
-    genus-1 factor, 2 per paired genus-2 factor) of an irreducible product."""
-    report = decompose(build_irreducible(values))
-    genera = tuple(curve.genus for _, curve in report.factors)
-    curves = dict(report.factors)
-    pairings = {functional: branch_set_pairing(m, curves[functional].roots)
-                for functional, m in sorted(involutions.items())}
-    count = genera.count(1) + 2 * sum(1 for p in pairings.values() if p.ok)
-    return genera, pairings, count
-
-
 @dataclass
-class Genus5Report:
-    """Outcome of the genus-5 completely-split family check."""
+class SplitReport:
+    """Outcome of check_split_family: ``pairings`` maps (functional, k) to
+    the pairing under the k-th map listed for that factor; a family's check
+    adds its parameters and constraint residual."""
 
-    lambdas: tuple
     factor_genera: tuple
-    pairing: PairingResult
+    pairings: dict
     elliptic_count: int
+    total_genus: int
+    lambdas: tuple = ()
+    residual: mpc | None = None
 
     @property
     def ok(self) -> bool:
-        return self.pairing.ok and self.elliptic_count == 5
+        return (all(p.ok for p in self.pairings.values())
+                and self.elliptic_count == self.total_genus)
 
 
-def check_genus5_family(l1, l2) -> Genus5Report:
+def check_split_family(model: CoverModel, involutions: dict, lambdas=(),
+                       residual=None) -> SplitReport:
+    """Decompose ``model`` and count its elliptic factors: 1 per genus-1
+    factor, and g per genus-g factor whose branch set each of its g - 1
+    maps in ``involutions`` (functional -> list of MobiusMap) pairs.  The
+    Jacobian splits completely when every pairing holds and the count is
+    the model's total genus."""
+    report = decompose(model)
+    curves = dict(report.factors)
+    pairings = {(functional, k): branch_set_pairing(m, curves[functional].roots)
+                for functional, maps in sorted(involutions.items())
+                for k, m in enumerate(maps)}
+    count = sum(curve.genus for functional, curve in report.factors
+                if curve.genus == 1 or (len(involutions.get(functional, ())) == curve.genus - 1
+                                        and all(pairings[functional, k].ok
+                                                for k in range(curve.genus - 1))))
+    return SplitReport(factor_genera=tuple(curve.genus for _, curve in report.factors),
+                       pairings=pairings, elliptic_count=count,
+                       total_genus=report.total_genus, lambdas=tuple(lambdas),
+                       residual=residual)
+
+
+def check_genus5_family(l1, l2) -> SplitReport:
     """Verify that the r=3 product with third parameter l1/l2 splits
     completely: three genus-1 quotients plus a genus-2 quotient whose
     branch set is paired by x -> l1/x."""
     l1, l2 = require_admissible_tuple([l1, l2])
-    l3 = l1 / l2
+    values = [l1, l2, l1 / l2]
     # build_irreducible checks (l1, l2, l3); the map cannot raise first, as
     # its determinant -l1 is admissible.  The one genus-2 factor of a rank-3
     # irreducible model is functional 111.
-    genera, pairings, count = _split_family([l1, l2, l3], {0b111: MobiusMap(0, l1, 1, 0)})
-    return Genus5Report(lambdas=(l1, l2, l3), factor_genera=genera,
-                        pairing=pairings[0b111], elliptic_count=count)
+    return check_split_family(build_irreducible(values), {0b111: [MobiusMap(0, l1, 1, 0)]},
+                              lambdas=values)
 
 
-@dataclass
-class Genus13Report:
-    """Outcome of the genus-13 completely-split family check."""
-
-    lambdas: tuple
-    residual: mpc
-    factor_genera: tuple
-    pairings: dict
-    elliptic_count: int
-
-    @property
-    def ok(self) -> bool:
-        return all(p.ok for p in self.pairings.values()) and self.elliptic_count == 13
-
-
-def check_genus13_family(l1, l2) -> Genus13Report:
+def check_genus13_family(l1, l2) -> SplitReport:
     """Verify the one-parameter genus-13 family.
 
     The third and fourth parameters are derived from the first two; the
@@ -517,15 +514,12 @@ def check_genus13_family(l1, l2) -> Genus13Report:
         raise ConstraintViolated(
             "constraint residual %s exceeds tolerance" % format_point(residual),
             residual)
-    genera, pairings, count = _split_family(values, {
-        0b0111: MobiusMap(0, l1, 1, 0),
-        0b1011: MobiusMap(l1, -l1, 1, -l1),
-        0b1101: MobiusMap(1, -l1, 1, -1),
-        0b1110: MobiusMap(l2, -l2 * l3, 1, -l2),
-    })
-    return Genus13Report(lambdas=tuple(values), residual=residual,
-                         factor_genera=genera, pairings=pairings,
-                         elliptic_count=count)
+    return check_split_family(build_irreducible(values), {
+        0b0111: [MobiusMap(0, l1, 1, 0)],
+        0b1011: [MobiusMap(l1, -l1, 1, -l1)],
+        0b1101: [MobiusMap(1, -l1, 1, -1)],
+        0b1110: [MobiusMap(l2, -l2 * l3, 1, -l2)],
+    }, lambdas=values, residual=residual)
 
 
 def factor_lambda_invariant(curve: FactorCurve) -> mpc:

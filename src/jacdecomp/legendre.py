@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 import functools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from mpmath import mp, mpc, nstr
 
@@ -178,7 +178,7 @@ def random_admissible(rng: random.Random, count: int) -> list[mpc]:
 class PairingResult:
     """Outcome of pairing a branch set under an involution."""
 
-    pairs: list[tuple] = field(default_factory=list)
+    pairs: list[tuple]
     offender: object = None
 
     @property
@@ -199,14 +199,14 @@ def branch_set_pairing(m: MobiusMap, points) -> PairingResult:
                             % (m.a, m.b, m.c, m.d))
     pts = [to_point(p) for p in points]
     table = near_table(pts)
-    result = PairingResult()
+    pairs: list[tuple] = []
     # The points before the first unpaired one are paired: a match at 0 is fixed
     unpaired = list(range(len(pts)))
     while unpaired:
         p = pts[unpaired[0]]
         k = first_near(near_table([m.apply(p)])[0], [table[j] for j in unpaired])
         if not k:
-            return PairingResult(pairs=result.pairs, offender=p)
-        result.pairs.append((p, pts[unpaired.pop(k)]))
+            return PairingResult(pairs, offender=p)
+        pairs.append((p, pts[unpaired.pop(k)]))
         del unpaired[0]
-    return result
+    return PairingResult(pairs)

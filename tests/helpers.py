@@ -7,7 +7,8 @@ equation identity with its error contract, the two-part integer kernel of
 the sampled identity whose error list the one-exponent kernel must equal,
 the rendering of a complex value from its two mpf parts that
 format_complex is checked against, and the per-root rendering of
-equations that the CLI's term tables are checked against."""
+equations that the CLI's term tables are checked against, and the two
+involutions that split the genus-3 factor of the genus-9 family."""
 
 import math
 import random
@@ -18,7 +19,7 @@ from mpmath import conj, mp, mpc, mpf, nstr, sqrt
 
 from jacdecomp import constructions, numerics
 from jacdecomp.constructions import ReducibleParams, _coordinate_forms
-from jacdecomp.numerics import to_complex
+from jacdecomp.numerics import MobiusMap, to_complex
 from jacdecomp.legendre import orbit_images, require_admissible, s3_orbit
 from jacdecomp.legendre import random_admissible  # noqa: F401  (shared by the suites)
 
@@ -220,12 +221,17 @@ def _format_real_reference(x) -> str:
 
 
 def random_mobius(rng: random.Random):
-    from jacdecomp.numerics import MobiusMap
-
     while True:
         a, b, c, d = (mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(4))
         if abs(a * d - b * c) > 0.1:
             return MobiusMap(a, b, c, d)
+
+
+def genus9_involutions(lam) -> dict:
+    """check_split_family's maps for the genus-9 family of parameter lam:
+    x -> lam/x and x -> lam(x - 1)/(x - lam) on the genus-3 factor, functional
+    111."""
+    return {0b111: [MobiusMap(0, lam, 1, 0), MobiusMap(lam, -lam, 1, -lam)]}
 
 
 def random_cover_model(rng: random.Random, rank=None, connected=True):

@@ -19,6 +19,7 @@ from jacdecomp.constructions import (
     chain_with_auxiliary,
     check_genus13_family,
     check_genus5_family,
+    check_split_family,
     derive_equations_reducible,
     factor_lambda_invariant,
     genus9_parameters,
@@ -39,6 +40,7 @@ from jacdecomp.numerics import (
 from helpers import (
     _sampled_errors_one_form_product_per_equation,
     boundary_values,
+    genus9_involutions,
     random_admissible,
     within_error_contract,
 )
@@ -448,21 +450,11 @@ def test_genus9_parameters_pairings():
 
 
 def test_genus9_split_count():
-    from jacdecomp.legendre import branch_set_pairing
-    from jacdecomp.numerics import MobiusMap
-
     rng = random.Random(67)
     lam, mu = random_admissible(rng, 2)
-    params = genus9_parameters(lam, mu)
-    report = decompose(build_reducible(params))
-    genus3 = next(c for _, c in report.factors if c.genus == 3)
-    elliptic = sum(1 for _, c in report.factors if c.genus == 1)
-    both_pair = all(
-        branch_set_pairing(m, genus3.roots).ok
-        for m in (MobiusMap(0, lam, 1, 0), MobiusMap(lam, -lam, 1, -lam)))
-    # two commuting fixed-point-free pairings split the genus-3 factor fully
-    split = 3 if both_pair else 0
-    assert elliptic + split == 9
+    report = check_split_family(build_reducible(genus9_parameters(lam, mu)),
+                                genus9_involutions(lam))
+    assert report.ok and report.elliptic_count == 9
 
 
 def test_genus9_degenerate_square():
@@ -745,7 +737,7 @@ def test_genus5_family_example():
     assert report.ok and report.elliptic_count == 5
     assert sorted(report.factor_genera) == [1, 1, 1, 2]
     flat = []
-    for a, b in report.pairing.pairs:
+    for a, b in report.pairings[0b111, 0].pairs:
         flat.append("inf" if is_infinity(a) else a)
         flat.append(b)
     finite = [p for p in flat if p != "inf"]
