@@ -537,19 +537,16 @@ def tag_factors(report: DecompositionReport, candidates,
     other genus.
 
     The candidates' orbits come from ``orbits`` (a fresh table when None)
-    and form one list of near entries in candidate order, so the first entry
-    close to the invariant belongs to the first matching candidate.  Each
+    and form one list of their six near entries each, in candidate order, so
+    the first entry close to the invariant belongs to the first matching
+    candidate.  Each
     invariant is cross_ratio_unchecked of the factor's roots, which their
     CoverModel has checked with the same close rule.  Each difference p - q
     is formed once per call and serves every factor that needs it.  One
     sphere copy of each invariant serves the admissibility test and the
     orbit scan."""
     orbits = OrbitTable() if orbits is None else orbits
-    owners, table = [], []
-    for candidate in candidates:
-        entries = orbits.orbit(candidate)
-        owners.extend([candidate] * len(entries))
-        table.extend(entries)
+    table = [entry for candidate in candidates for entry in orbits.orbit(candidate)]
     differences: dict = {}
 
     def difference(p, q):
@@ -562,7 +559,7 @@ def tag_factors(report: DecompositionReport, candidates,
     def tag(curve):
         invariant = cross_ratio_unchecked(*curve.roots, difference)
         k = first_near(admissible_entry(invariant._mpc_), table)
-        return invariant if k is None else owners[k]
+        return invariant if k is None else candidates[k // 6]
     return [tag(curve) if curve.genus == 1 else None for _, curve in report.factors]
 
 

@@ -94,8 +94,8 @@ def orbit_images(t) -> list:
 
 
 def _orbit_entries(t) -> list:
-    """The near entries of the distinct orbit images of the raw tuple t, in
-    orbit_images order; an image close to an earlier kept one is dropped.
+    """The near entries of the six orbit images of the raw tuple t, in
+    orbit_images order.
 
     The sphere copies of t, o = 1 - t and -t/o are sphere_copy of t~, o~ and
     -t~/o~, with t~ and o~ the double copies of t and o; those of 1/t, 1/o
@@ -111,22 +111,20 @@ def _orbit_entries(t) -> list:
         values = [t, lambda: images()[1], one_minus, lambda: images()[3],
                   lambda: images()[4], lambda: images()[5]]
         copies = [sphere_copy(td, t), sphere_copy(od, one_minus), sphere_copy(-td / od, values[4])]
-        entries = zip([c for copy in copies for c in (copy, reciprocal_copy(copy))], values)
-    else:
-        entries = map(near_entry, images())
-    kept: list = []
-    for entry in entries:
-        if first_near(entry, kept) is None:
-            kept.append(entry)
-    return kept
+        return list(zip([c for copy in copies for c in (copy, reciprocal_copy(copy))], values))
+    return list(map(near_entry, images()))
 
 
 def s3_orbit(value) -> list[mpc]:
     """The distinct images of t under the group generated by t -> 1/t and
-    t -> 1 - t, in closed form (2, 3 or 6 values): the orbit_images kept by
-    _orbit_entries."""
+    t -> 1 - t, in closed form (2, 3 or 6 values): each of orbit_images
+    unless it lies within tolerance of one kept before it."""
     t = require_admissible(value)
-    return [entry_value(entry) for entry in _orbit_entries(t._mpc_)]
+    kept: list = []
+    for entry in _orbit_entries(t._mpc_):
+        if first_near(entry, kept) is None:
+            kept.append(entry)
+    return [entry_value(entry) for entry in kept]
 
 
 class OrbitTable:
@@ -138,8 +136,8 @@ class OrbitTable:
         self._orbits: dict = {}
 
     def orbit(self, value) -> list:
-        """The near entries of s3_orbit(value), which raises the same
-        errors."""
+        """The near entries of the six orbit images of value; raises the
+        errors of s3_orbit."""
         t = to_complex(value)
         entries = self._orbits.get(t._mpc_)
         if entries is None:
@@ -148,8 +146,8 @@ class OrbitTable:
         return entries
 
     def same_curve(self, l1, l2) -> bool:
-        """True when l2 lies within tolerance of an orbit image of l1, whose
-        orbit comes from this table."""
+        """True when l2 lies within tolerance of one of the six orbit images
+        of l1, whose orbit comes from this table."""
         entry = admissible_entry(to_complex(l2)._mpc_)
         return first_near(entry, self.orbit(l1)) is not None
 
