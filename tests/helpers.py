@@ -20,7 +20,7 @@ from mpmath import conj, mp, mpc, mpf, nstr, sqrt
 from jacdecomp import constructions, numerics
 from jacdecomp.constructions import ReducibleParams, _coordinate_forms
 from jacdecomp.numerics import MobiusMap, to_complex
-from jacdecomp.legendre import orbit_images, require_admissible, s3_orbit
+from jacdecomp.legendre import orbit_images, require_admissible
 from jacdecomp.legendre import random_admissible  # noqa: F401  (shared by the suites)
 
 
@@ -85,10 +85,12 @@ def chordal_boundary_values(center=0):
 
 
 def same_curve_by_scan(l1, l2) -> bool:
-    """Reference for OrbitTable.same_curve and legendre.same_curve: l2 is
-    admitted, then checked with close against each image of s3_orbit(l1)."""
+    """Reference for OrbitTable.same_curve and legendre.same_curve: l2 and
+    then l1 are admitted, and l2 is checked with close against each of the
+    six orbit_images of l1."""
     l2 = require_admissible(l2)
-    return any(numerics.close(l2, v) for v in s3_orbit(l1))
+    images = orbit_images(require_admissible(l1)._mpc_)
+    return any(numerics.close(l2, mp.make_mpc(w)) for w in images)
 
 
 def orbit_by_close_scan(t) -> list:
