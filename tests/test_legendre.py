@@ -302,6 +302,16 @@ def test_orbit_copies_lie_within_their_stated_bound(bits, tiny_epsilon):
         mp.prec = saved
 
 
+def test_same_curve_scans_every_orbit_image():
+    # two images of t lie within epsilon of each other and the query lies
+    # within epsilon of only the second, so an orbit that dropped it answered
+    # False for t and True for 1/t
+    numerics.set_epsilon("0.1")
+    t, query = mpf("-9.9498743617060555"), mpf("1.2234668241330209")
+    assert same_curve(t, query)
+    assert same_curve(1 / t, query)
+
+
 def test_s3_orbit_returns_orbit_images_bits():
     rng = random.Random(27)
     for t in random_admissible(rng, 40) + [mpc(2), mpc(-1), mpc(0.5), _SIXTH]:

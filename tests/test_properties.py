@@ -314,7 +314,7 @@ def test_admissibility_and_same_curve_are_invariant_under_inversion(eps, case):
     """t -> 1/t is an isometry of the chordal metric that swaps 0 and inf and
     permutes each orbit, so admissibility and same_curve do not change under
     it, except within a relative 2^-40 of the tolerance or the rounding of
-    1/t of it, and for orbits with images within 2 epsilon of each other."""
+    1/t of it."""
     numerics.set_epsilon(eps)
     first, second = case
     boundary = [mpc(0), mpc(1), INFINITY]
@@ -323,11 +323,8 @@ def test_admissibility_and_same_curve_are_invariant_under_inversion(eps, case):
             assert _admitted(t) == _admitted(1 / t)
     if not (_admitted(first) and _admitted(second)):
         return
-    # An orbit keeps the first of two images within epsilon, and that choice
-    # depends on the order of the images, so they must lie apart
     images = [mp.make_mpc(w) for w in legendre.orbit_images(first._mpc_)]
-    apart = all(chordal(v, w) > 2 * epsilon() for v, w in combinations(images, 2))
-    if apart and _clear_of(second, images):
+    if _clear_of(second, images):
         want = legendre.same_curve(first, second)
         assert legendre.same_curve(1 / first, second) == want
         assert legendre.same_curve(first, 1 / second) == want
