@@ -1,7 +1,7 @@
 """Command-line front end: construct, decompose and verify the families.
 
 Exit status is 0 when every requested check passes, 1 when a check fails,
-and 2 for usage or domain errors.  JSON output is canonical: keys sorted,
+2 for usage or domain errors, and 141 when the reader closes stdout early.  JSON output is canonical: keys sorted,
 all numeric values rendered as literal strings at 17 significant digits,
 so parse/re-serialize round-trips are byte identical.
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 
@@ -494,7 +495,14 @@ def main(argv=None) -> int:
     except (numerics.DomainError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    emit(payload, args.format)
+    try:
+        emit(payload, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout: not a failed check.  Writes at exit go
+        # to devnull, and the status is a shell's for SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return status
 
 

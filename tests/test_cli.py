@@ -577,6 +577,18 @@ def test_unset_precision_env_variable_keeps_default():
     assert out.stdout.strip() == "128"
 
 
+def test_closed_stdout_exits_141_without_a_traceback():
+    # 221 kB of output, far more than a pipe holds, so the command still
+    # writes when the reader has closed the pipe after one line
+    proc = subprocess.Popen([sys.executable, "-m", "jacdecomp.cli", "decompose", "irreducible",
+                             "--lambdas", "2,3,4,5,6,7,8,9,10,11", "--format", "json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait() == 141
+
+
 def test_console_entry_point():
     out = subprocess.run([sys.executable, "-m", "jacdecomp.cli",
                           "verify", "bound", "--r", "4"],
