@@ -5,7 +5,8 @@ the sphere copies against their points at 4,000 bits, negligible against
 the mpc modulus test, admissibility and same_curve under t -> 1/t, orbit
 tagging against the first-candidate close scan and, with admissibility,
 against the exact Gaussian-rational oracle, the orbit table and same_curve
-against the close scan over s3_orbit, cross_ratio_lambda against the
+against the close scan over the six orbit images, the genus-5, genus-9
+and genus-13 families' split over their parameter spaces, cross_ratio_lambda against the
 cross-ratio formula at twice the precision, the solver oracles' distinct points after
 admission, the sampled equation identity within its error contract of
 the one-product-per-equation reference loop and equal to the two-part
@@ -32,7 +33,15 @@ from mpmath.libmp import (fone, from_man_exp, fzero, mpc_add, mpc_mul, mpc_sub, 
                           round_nearest)
 
 from jacdecomp import cli, constructions, legendre, numerics
-from jacdecomp.constructions import factor_lambda_invariant
+from jacdecomp.constructions import (
+    ReducibleParams,
+    build_reducible,
+    check_genus5_family,
+    check_genus13_family,
+    check_split_family,
+    factor_lambda_invariant,
+    genus9_parameters,
+)
 from jacdecomp.cover import (
     _echelon,
     decompose,
@@ -58,6 +67,7 @@ from jacdecomp.numerics import (
     near_table,
     parse_complex,
     point_sort_key,
+    solve_quadratic,
 )
 
 from helpers import (
@@ -70,6 +80,7 @@ from helpers import (
     exact_j,
     exact_orbit,
     format_complex_reference,
+    genus9_involutions,
     random_cover_model,
     render_curve_equation_reference,
     render_factor_curve_reference,
@@ -328,6 +339,41 @@ def test_admissibility_and_same_curve_are_invariant_under_inversion(eps, case):
         want = legendre.same_curve(first, second)
         assert legendre.same_curve(1 / first, second) == want
         assert legendre.same_curve(first, 1 / second) == want
+
+
+SPLIT_SETTINGS = settings(max_examples=50, deadline=None)
+
+
+@SPLIT_SETTINGS
+@given(st.integers(0, 2 ** 32))
+def test_genus5_family_splits_over_its_parameter_plane(seed):
+    report = check_genus5_family(*random_admissible(random.Random(seed), 2))
+    assert report.ok and report.elliptic_count == 5
+
+
+@SPLIT_SETTINGS
+@given(st.integers(0, 2 ** 32))
+def test_genus13_family_splits_at_both_roots_of_its_constraint(seed):
+    """l2 solves l2^2 (1 + l1) - 4 l1 l2 + l1 (1 + l1) = 0."""
+    (l1,) = random_admissible(random.Random(seed), 1)
+    for l2 in solve_quadratic(1 + l1, -4 * l1, l1 * (1 + l1)):
+        report = check_genus13_family(l1, l2)
+        assert report.ok and report.elliptic_count == 13
+
+
+@SPLIT_SETTINGS
+@given(st.integers(0, 2 ** 32))
+def test_genus9_family_splits_and_a_moved_branch_point_does_not(seed):
+    """Scaling m22 by 1 + 10^-6 moves a branch point of the genus-3 factor off
+    the pairings, so its three elliptic curves are no longer counted."""
+    lam, mu = random_admissible(random.Random(seed), 2)
+    params = genus9_parameters(lam, mu)
+    report = check_split_family(build_reducible(params), genus9_involutions(lam))
+    assert report.ok and report.elliptic_count == 9
+    (m11, m12), (m21, m22) = params.mu
+    moved = ReducibleParams(lam, ((m11, m12), (m21, m22 * (1 + mpf(10) ** -6))))
+    report = check_split_family(build_reducible(moved), genus9_involutions(lam))
+    assert not report.ok and report.elliptic_count < 9
 
 
 # a part of the sphere-copy property: 0, a full mantissa at a binary
