@@ -1,9 +1,10 @@
 """Command-line front end: construct, decompose and verify the families.
 
 Exit status is 0 when every requested check passes, 1 when a check fails,
-2 for usage or domain errors, and 141 when the reader closes stdout early.  JSON output is canonical: keys sorted,
-all numeric values rendered as literal strings at 17 significant digits,
-so parse/re-serialize round-trips are byte identical.
+2 for usage or domain errors, and 141 when the reader closes stdout early.
+JSON output is canonical: keys sorted, all numeric values rendered as
+literal strings at 17 significant digits, so parse/re-serialize round-trips
+are byte identical.
 """
 
 from __future__ import annotations
@@ -260,7 +261,7 @@ def cmd_verify(args) -> tuple[dict, int]:
             "l3": format_point(report.lambdas[2]),
             "l4": format_point(report.lambdas[3]),
         }
-        _split_checks(checks, report, lambda functional: "pairing_" + functional_bits(functional, 4))
+        _split_checks(checks, report, lambda f: "pairing_" + functional_bits(f, 4))
     elif args.verification == "bound":
         if args.r > BOUND_MAX_R:
             raise cons.OutOfRange("bound is capped at r <= %d, got %d" % (BOUND_MAX_R, args.r))
@@ -294,8 +295,7 @@ BOUND_MAX_R = 1024
 
 
 def _split_checks(checks: dict, report: cons.SplitReport, key) -> None:
-    """Add each pairing of a split-family report, under key(functional), and
-    its elliptic count to ``checks``."""
+    """Add a split-family report's pairings, under key(functional), and count."""
     for (functional, _), pairing in report.pairings.items():
         checks[key(functional)] = {"pass": pairing.ok, "pairs": _pairs(pairing.pairs)}
     checks["elliptic_count"] = {"pass": report.elliptic_count == report.total_genus,
@@ -499,8 +499,7 @@ def main(argv=None) -> int:
         emit(payload, args.format)
         sys.stdout.flush()
     except BrokenPipeError:
-        # The reader closed stdout: not a failed check.  Writes at exit go
-        # to devnull, and the status is a shell's for SIGPIPE.
+        # the reader closed stdout; writes at exit go to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     return status

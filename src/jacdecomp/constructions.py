@@ -444,9 +444,8 @@ def build_irreducible(lambdas) -> CoverModel:
 
 @dataclass
 class SplitReport:
-    """Outcome of check_split_family: ``pairings`` maps (functional, k) to
-    the pairing under the k-th map listed for that factor; a family's check
-    adds its parameters and constraint residual."""
+    """Outcome of check_split_family; ``pairings`` maps (functional, k) to the
+    pairing under that factor's k-th map.  A family adds its parameters."""
 
     factor_genera: tuple
     pairings: dict
@@ -457,12 +456,11 @@ class SplitReport:
 
     @property
     def ok(self) -> bool:
-        return (all(p.ok for p in self.pairings.values())
-                and self.elliptic_count == self.total_genus)
+        paired = all(p.ok for p in self.pairings.values())
+        return paired and self.elliptic_count == self.total_genus
 
 
-def check_split_family(model: CoverModel, involutions: dict, lambdas=(),
-                       residual=None) -> SplitReport:
+def check_split_family(model: CoverModel, involutions: dict, lambdas=(), residual=None):
     """Decompose ``model`` and count its elliptic factors: 1 per genus-1
     factor, and g per genus-g factor whose branch set each of its g - 1
     maps in ``involutions`` (functional -> list of MobiusMap) pairs.  The
@@ -473,14 +471,11 @@ def check_split_family(model: CoverModel, involutions: dict, lambdas=(),
     pairings = {(functional, k): branch_set_pairing(m, curves[functional].roots)
                 for functional, maps in sorted(involutions.items())
                 for k, m in enumerate(maps)}
-    count = sum(curve.genus for functional, curve in report.factors
-                if curve.genus == 1 or (len(involutions.get(functional, ())) == curve.genus - 1
-                                        and all(pairings[functional, k].ok
-                                                for k in range(curve.genus - 1))))
-    return SplitReport(factor_genera=tuple(curve.genus for _, curve in report.factors),
-                       pairings=pairings, elliptic_count=count,
-                       total_genus=report.total_genus, lambdas=tuple(lambdas),
-                       residual=residual)
+    split = {f for f, maps in involutions.items() if len(maps) == curves[f].genus - 1
+             and all(pairings[f, k].ok for k in range(len(maps)))}
+    count = sum(curve.genus for f, curve in report.factors if curve.genus == 1 or f in split)
+    return SplitReport(tuple(curve.genus for _, curve in report.factors), pairings, count,
+                       report.total_genus, tuple(lambdas), residual)
 
 
 def check_genus5_family(l1, l2) -> SplitReport:
@@ -497,23 +492,17 @@ def check_genus5_family(l1, l2) -> SplitReport:
 
 
 def check_genus13_family(l1, l2) -> SplitReport:
-    """Verify the one-parameter genus-13 family.
-
-    The third and fourth parameters are derived from the first two; the
-    split requires the defining quadratic constraint on (l1, l2) to hold,
-    after which four involutions pair the branch sets of the four genus-2
-    quotients.
-    """
+    """Verify the one-parameter genus-13 family: l3 and l4 are derived from
+    (l1, l2), which must satisfy the defining quadratic constraint, and four
+    involutions then pair the branch sets of the four genus-2 quotients."""
     l1, l2 = require_admissible_tuple([l1, l2])
-    l3 = l1 / l2
-    l4 = l1 * (l2 - 1) / (l2 - l1)
+    l3, l4 = l1 / l2, l1 * (l2 - 1) / (l2 - l1)
     values = require_admissible_tuple([l1, l2, l3, l4])
     terms = l2 * l2 * (1 + l1), 4 * l1 * l2, l1 * (1 + l1)
     residual = terms[0] - terms[1] + terms[2]
     if not negligible(residual, *terms):
-        raise ConstraintViolated(
-            "constraint residual %s exceeds tolerance" % format_point(residual),
-            residual)
+        raise ConstraintViolated("constraint residual %s exceeds tolerance"
+                                 % format_point(residual), residual)
     return check_split_family(build_irreducible(values), {
         0b0111: [MobiusMap(0, l1, 1, 0)],
         0b1011: [MobiusMap(l1, -l1, 1, -l1)],
