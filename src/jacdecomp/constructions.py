@@ -460,7 +460,8 @@ class SplitReport:
         return paired and self.elliptic_count == self.total_genus
 
 
-def check_split_family(model: CoverModel, involutions: dict, lambdas=(), residual=None):
+def check_split_family(model: CoverModel, involutions: dict, lambdas=(),
+                       residual=None) -> SplitReport:
     """Decompose ``model`` and count its elliptic factors: 1 per genus-1
     factor, and g per genus-g factor whose branch set each of its g - 1
     maps in ``involutions`` (functional -> list of MobiusMap) pairs.  The
@@ -528,12 +529,11 @@ def tag_factors(report: DecompositionReport, candidates,
     The candidates' orbits come from ``orbits`` (a fresh table when None)
     and form one list of their six near entries each, in candidate order, so
     the first entry close to the invariant belongs to the first matching
-    candidate.  Each
-    invariant is cross_ratio_unchecked of the factor's roots, which their
-    CoverModel has checked with the same close rule.  Each difference p - q
-    is formed once per call and serves every factor that needs it.  One
-    sphere copy of each invariant serves the admissibility test and the
-    orbit scan."""
+    candidate.  Each invariant is cross_ratio_unchecked of the factor's
+    roots, which their CoverModel has checked with the same close rule.
+    Each difference p - q is formed once per call and serves every factor
+    that needs it.  One sphere copy of each invariant serves the
+    admissibility test and the orbit scan."""
     orbits = OrbitTable() if orbits is None else orbits
     table = [entry for candidate in candidates for entry in orbits.orbit(candidate)]
     differences: dict = {}
