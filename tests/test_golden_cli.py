@@ -38,6 +38,10 @@ CASES = {
     # 1/2 lies in the orbit of 2: the first candidate, in input order, wins
     "decompose_irreducible_shared_orbit": ["decompose", "irreducible", "--lambdas",
                                            "2,0.5,3"],
+    # parts and points whose exponents lie up to 1,000 bits apart; the last
+    # invariant keeps an imaginary part 2^-830 of its real part
+    "decompose_irreducible_far_exponents": ["decompose", "irreducible", "--lambdas",
+                                            "1e-300+1i,2+1e-250i,3-1e-280i,-5+1e-270i,7"],
     "decompose_chain_r5": ["decompose", "reducible", "--chain", "2,3,4,5,6"],
     "decompose_chain_r6": ["decompose", "reducible", "--chain",
                            "2,-1.5,0.3+1.1i,3/4,-2i,5"],
