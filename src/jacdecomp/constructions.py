@@ -38,6 +38,7 @@ from .numerics import (
     negligible,
     solve_quadratic,
     to_complex,
+    _gauss,
 )
 
 
@@ -530,23 +531,15 @@ def tag_factors(report: DecompositionReport, candidates,
     and form one list of their six near entries each, in candidate order, so
     the first entry close to the invariant belongs to the first matching
     candidate.  Each invariant is cross_ratio_unchecked of the factor's
-    roots, which their CoverModel has checked with the same close rule.
-    Each difference p - q is formed once per call and serves every factor
-    that needs it.  One sphere copy of each invariant serves the
-    admissibility test and the orbit scan."""
+    roots, which their CoverModel has checked with the same close rule: the
+    exact cross-ratio of those roots, rounded once per part.  One sphere
+    copy of each invariant serves the admissibility test and the orbit
+    scan."""
     orbits = OrbitTable() if orbits is None else orbits
     table = [entry for candidate in candidates for entry in orbits.orbit(candidate)]
-    differences: dict = {}
-
-    def difference(p, q):
-        key = id(p), id(q)
-        d = differences.get(key)
-        if d is None:
-            d = differences[key] = p - q
-        return d
 
     def tag(curve):
-        invariant = cross_ratio_unchecked(*curve.roots, difference)
+        invariant = cross_ratio_unchecked(*curve.roots)
         k = first_near(admissible_entry(invariant._mpc_), table)
         return invariant if k is None else candidates[k // 6]
     return [tag(curve) if curve.genus == 1 else None for _, curve in report.factors]
@@ -678,19 +671,6 @@ def compare_with_reference(equations, reference) -> list[EquationComparison]:
         out.append(EquationComparison(alpha=alpha, constant_error=c_err,
                                       roots_matched=matched, max_root_error=max_err))
     return out
-
-
-# The sampled identity runs on complex values held as Gaussian integers with
-# one exponent: (x, y, e) is (x + iy) 2^e.  A zero part does not set e.
-
-
-def _gauss(z) -> tuple:
-    """(x, y, e) of a raw ``_mpc_`` tuple."""
-    (s1, x, e1, _), (s2, y, e2, _) = z
-    x, y = -x if s1 else x, -y if s2 else y
-    if not y or (x and e1 < e2):
-        return x, y << (e2 - e1) if y else 0, e1
-    return x << (e1 - e2) if x else 0, y, e2
 
 
 def _round(x: int, y: int, e: int, prec: int) -> tuple:

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 import os
 import re
 import sys
 from dataclasses import dataclass
 
 from mpmath import isfinite, mp, mpc, mpf, nstr, sqrt
-from mpmath.libmp import fone, mpc_sub, mpc_to_complex, mpf_add, mpf_le, mpf_mul, round_nearest
+from mpmath.libmp import (fone, from_int, fzero, mpc_div, mpc_mul, mpc_sub, mpc_to_complex, mpf_add,
+                          mpf_div, mpf_le, mpf_mul, mpf_pos, round_nearest)
 
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_EPSILON = "1e-9"
@@ -185,8 +185,27 @@ _LARGE = 2.0 ** 500
 
 
 def to_double(z) -> complex:
-    """The double copy of a raw ``_mpc_`` tuple, each part rounded to nearest."""
+    """The double copy of a raw ``_mpc_`` tuple, each part rounded to nearest,
+    bit for bit mpc_to_complex(z, False, round_nearest).  A part that is zero,
+    or has a mantissa under 1024 bits and a value in the normal double range,
+    is ldexp(+-man, exp): int -> float rounds to nearest-even and ldexp is
+    exact there.  Any other value goes through mpc_to_complex."""
+    (s1, x, e1, n1), (s2, y, e2, n2) = z
+    if ((x and n1 < 1024 and -1021 <= e1 + n1 <= 1023 or z[0] == fzero)
+            and (y and n2 < 1024 and -1021 <= e2 + n2 <= 1023 or z[1] == fzero)):
+        return complex(math.ldexp(-x if s1 else x, e1), math.ldexp(-y if s2 else y, e2))
     return mpc_to_complex(z, False, round_nearest)
+
+
+def _gauss(z, e=None) -> tuple:
+    """A raw ``_mpc_`` tuple as a Gaussian integer with one exponent, (x, y, e)
+    for (x + iy) 2^e: e is the lower exponent of the nonzero parts (a zero
+    part does not set it), or the given e, at most each of theirs."""
+    (s1, x, e1, _), (s2, y, e2, _) = z
+    if e is None:
+        e = e2 if not x or (y and e2 < e1) else e1
+    return ((-x if s1 else x) << (e1 - e) if x else 0,
+            (-y if s2 else y) << (e2 - e) if y else 0, e)
 
 
 def reciprocal_copy(copy: tuple) -> tuple:
@@ -278,10 +297,11 @@ def negligible(x, *terms) -> bool:
 
 
 def point_sort_key(p):
-    """Deterministic ordering key: infinity first, then by (re, im)."""
+    """Deterministic ordering key: infinity first, then by (re, im) in doubles."""
     if is_infinity(p):
         return (0, 0.0, 0.0)
-    return (1, float(p.real), float(p.imag))
+    d = to_double(_raw(p))
+    return (1, d.real, d.imag)
 
 
 def format_complex(z) -> str:
@@ -290,7 +310,7 @@ def format_complex(z) -> str:
     as in literals."""
     if type(z) is not mpc:
         z = mpc(z)
-    d = complex(z)
+    d = to_double(z._mpc_)
     if math.isinf(d.real):
         raise _beyond_double(z.real)
     if math.isinf(d.imag):
@@ -371,7 +391,8 @@ def parse_complex(text: str) -> mpc:
 
 def _double_range(z: mpc, text: str) -> mpc:
     """Reject a value whose parts overflow a double: it would render as inf."""
-    if math.isinf(float(z.real)) or math.isinf(float(z.imag)):
+    d = to_double(z._mpc_)
+    if math.isinf(d.real) or math.isinf(d.imag):
         raise ValueError("literal %r exceeds the double range" % text)
     return z
 
@@ -457,28 +478,45 @@ def cross_ratio_lambda(p1, p2, p3, p4) -> mpc:
     return cross_ratio_unchecked(*[p if is_infinity(p) else to_complex(p) for p in points])
 
 
-def cross_ratio_unchecked(p1, p2, p3, p4, difference=operator.sub) -> mpc:
+def cross_ratio_unchecked(p1, p2, p3, p4) -> mpc:
     """cross_ratio_lambda for points already known to be pairwise distinct,
     each INFINITY or a finite mpc: the cross-ratio
 
         (p4 - p2)(p3 - p1) / ((p4 - p1)(p3 - p2))
 
-    in mpc operators, with the factors that hold inf dropped (at most one
-    point is inf); its denominator is nonzero, as mpf does not underflow.
-    ``difference(p, q)`` gives each finite difference p - q: a caller that
-    meets the same points again may pass a memo of the same subtraction,
-    which changes no bit.  Accuracy: the modulus error is at most 16 units
-    of 2^-mp.prec of the value's modulus, against the same formula at twice
-    the working precision.  The value may lie within tolerance of 0, 1 or
+    with the factors that hold inf dropped (at most one point is inf), each
+    part the exact value rounded once to mp.prec bits, nearest-even: the
+    factors are exact Gaussian integers at one exponent (_gauss), which
+    cancels, and each part is one mpf_div.  Where the nonzero parts of the
+    points span more than 3 mp.prec + 64 bits, so that some lie more than
+    about 2 mp.prec + 64 bits apart, the factors and the quotient are mpc
+    operations at that many bits, then rounded to mp.prec: no integer grows
+    with the gap, and the modulus error stays below one unit of 2^-mp.prec
+    of the value's modulus.  The value may lie within tolerance of 0, 1 or
     inf, which admissibility tests.
     """
-    def product(p, q, r, s):
-        if is_infinity(p) or is_infinity(q):
-            return difference(r, s)
-        if is_infinity(r) or is_infinity(s):
-            return difference(p, q)
-        return difference(p, q) * difference(r, s)
-    return product(p4, p2, p3, p1) / product(p4, p1, p3, p2)
+    prec = mp.prec
+    wide = 2 * prec + 64
+    points = [None if p is INFINITY else p._mpc_ for p in (p1, p2, p3, p4)]
+    parts = [part for z in points if z for part in z if part[1]]
+    low = min([part[2] for part in parts])
+    exact = max([part[2] + part[3] for part in parts]) - low <= wide + prec
+    if exact:
+        points = [z and _gauss(z, low) for z in points]
+    # p4 - p2 and p3 - p1 above the bar, p4 - p1 and p3 - p2 below
+    pairs = [(points[i], points[j]) for i, j in ((3, 1), (2, 0), (3, 0), (2, 1))]
+    if not exact:
+        a, b, c, d = [(fone, fzero) if p is None or q is None
+                      else mpc_sub(p, q, wide, round_nearest) for p, q in pairs]
+        re, im = mpc_div(mpc_mul(a, b, wide, round_nearest), mpc_mul(c, d, wide, round_nearest),
+                         wide, round_nearest)
+        return mp.make_mpc((mpf_pos(re, prec, round_nearest), mpf_pos(im, prec, round_nearest)))
+    (a, b), (c, d), (u, v), (s, t) = [(1, 0) if p is None or q is None
+                                      else (p[0] - q[0], p[1] - q[1]) for p, q in pairs]
+    x, y, u, v = a * c - b * d, a * d + b * c, u * s - v * t, u * t + v * s
+    norm = from_int(u * u + v * v)
+    return mp.make_mpc((mpf_div(from_int(x * u + y * v), norm, prec, round_nearest),
+                        mpf_div(from_int(y * u - x * v), norm, prec, round_nearest)))
 
 
 def solve_quadratic(a, b, c) -> tuple[mpc, mpc]:
@@ -496,7 +534,8 @@ def solve_quadratic(a, b, c) -> tuple[mpc, mpc]:
     r2 = (-b - root) / (2 * a)
 
     def key(r):
-        return (0 if r.imag >= 0 else 1, -float(r.real), -float(r.imag))
+        d = to_double(r._mpc_)
+        return (0 if r.imag >= 0 else 1, -d.real, -d.imag)
 
     r1, r2 = sorted((r1, r2), key=key)
     return r1, r2

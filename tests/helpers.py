@@ -2,7 +2,8 @@
 chordal distance and the points at a given chordal distance that the
 tolerance tests are checked against, the close scans over the parameter
 orbit that the orbit table is checked against, the exact Gaussian-rational
-oracle for tags and admissibility, the reference loop of the sampled
+oracle for tags, admissibility and the cross-ratio rounded once, the
+libmp conversion that to_double is checked against, the reference loop of the sampled
 equation identity with its error contract, the two-part integer kernel of
 the sampled identity whose error list the one-exponent kernel must equal,
 the rendering of a complex value from its two mpf parts that
@@ -16,6 +17,7 @@ from fractions import Fraction
 from math import hypot, ldexp
 
 from mpmath import conj, mp, mpc, mpf, nstr, sqrt
+from mpmath.libmp import from_rational, mpc_to_complex, round_nearest
 
 from jacdecomp import constructions, numerics
 from jacdecomp.constructions import ReducibleParams, _coordinate_forms
@@ -165,6 +167,14 @@ class GaussianRational:
     def __repr__(self):
         return self.literal()
 
+    @classmethod
+    def of(cls, z) -> "GaussianRational":
+        """The exact value of an mpc."""
+        def exact(part):
+            sign, man, exp, _ = part._mpf_
+            return Fraction(-man if sign else man) * Fraction(2) ** exp
+        return cls(exact(z.real), exact(z.imag))
+
     def to_mpc(self) -> mpc:
         return mpc(mpf(self.re.numerator) / self.re.denominator,
                    mpf(self.im.numerator) / self.im.denominator)
@@ -197,6 +207,29 @@ def exact_cross_ratio(p1, p2, p3, p4):
     def factor(p, q):
         return 1 if p is None or q is None else p - q
     return factor(p4, p2) * factor(p3, p1) / (factor(p4, p1) * factor(p3, p2))
+
+
+def rounded_once(value: GaussianRational, prec: int) -> tuple:
+    """The raw ``_mpc_`` tuple of an exact value, each part rounded once to
+    prec bits, nearest-even."""
+    return tuple(from_rational(part.numerator, part.denominator, prec, round_nearest)
+                 for part in (value.re, value.im))
+
+
+def to_double_reference(z) -> complex:
+    """numerics.to_double by libmp's conversion, each part rounded to nearest."""
+    return mpc_to_complex(z, False, round_nearest)
+
+
+def cross_ratio_at_twice_the_precision(points):
+    """(p4 - p2)(p3 - p1) / ((p4 - p1)(p3 - p2)) at twice the working
+    precision, a factor that holds inf read as 1."""
+    p1, p2, p3, p4 = points
+
+    def factor(p, q):
+        return mpc(1) if numerics.is_infinity(p) or numerics.is_infinity(q) else p - q
+    with mp.workprec(2 * mp.prec):
+        return factor(p4, p2) * factor(p3, p1) / (factor(p4, p1) * factor(p3, p2))
 
 
 def format_complex_reference(z) -> str:

@@ -38,10 +38,13 @@ from jacdecomp.numerics import (
 )
 
 from helpers import (
+    GaussianRational,
     _sampled_errors_one_form_product_per_equation,
     boundary_values,
+    exact_cross_ratio,
     genus9_involutions,
     random_admissible,
+    rounded_once,
     within_error_contract,
 )
 
@@ -643,30 +646,24 @@ def test_tag_factors_repeats_no_collision_check(monkeypatch, candidates):
     assert cons.tag_factors(report, candidates) == want
 
 
-def test_tag_factors_forms_each_difference_once(monkeypatch):
-    # every factor that needs p - q gets the same object, and the tags are
-    # those of the per-factor subtraction
-    candidates = [mpc(2), mpc(3), mpc(-1, 2), mpc(0.5, -1)]
-    report = decompose(build_irreducible(candidates))
-    want = cons.tag_factors(report, candidates)
-    results, uses = {}, []
-    kernel = cons.cross_ratio_unchecked
-
-    def watched(*args):
-        *points, difference = args
-
-        def recorded(p, q):
-            d = difference(p, q)
-            results.setdefault((id(p), id(q)), set()).add(id(d))
-            uses.append((id(p), id(q)))
-            return d
-        return kernel(*points, recorded)
-    monkeypatch.setattr(cons, "cross_ratio_unchecked", watched)
-    got = cons.tag_factors(report, candidates)
-    assert [t if t is None else t._mpc_ for t in got] == [
-        t if t is None else t._mpc_ for t in want]
-    assert all(len(ids) == 1 for ids in results.values())
-    assert len(uses) > len(results)
+@pytest.mark.parametrize("bits", [53, 128, 256])
+def test_tag_factors_invariants_are_the_exact_cross_ratios_rounded_once(bits):
+    # an untagged factor reports its invariant: the exact cross-ratio of its
+    # roots, each part rounded once, whichever factors share a difference
+    saved = mp.prec
+    mp.prec = bits
+    try:
+        candidates = [mpc(2), mpc(3), mpc(-1, 2), mpc(0.5, -1), mpc(1, 1) / 3]
+        report = decompose(build_irreducible(candidates))
+        tags = cons.tag_factors(report, candidates)
+        untagged = [(curve, tag) for (_, curve), tag in zip(report.factors, tags)
+                    if tag is not None and not any(tag is c for c in candidates)]
+        assert len(untagged) >= 5
+        for curve, tag in untagged:
+            exact = [None if is_infinity(p) else GaussianRational.of(p) for p in curve.roots]
+            assert tag._mpc_ == rounded_once(exact_cross_ratio(*exact), bits)
+    finally:
+        mp.prec = saved
 
 
 def test_chain_solver_and_tagging_build_each_orbit_once(monkeypatch):

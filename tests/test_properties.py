@@ -29,8 +29,8 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import (fone, from_man_exp, fzero, mpc_add, mpc_mul, mpc_sub, mpf_add, mpf_pos,
-                          round_nearest)
+from mpmath.libmp import (finf, fnan, fninf, fone, from_man_exp, fzero, mpc_add, mpc_mul, mpc_sub,
+                          mpf_add, mpf_pos, round_nearest)
 
 from jacdecomp import cli, constructions, legendre, numerics
 from jacdecomp.constructions import (
@@ -76,6 +76,7 @@ from helpers import (
     chordal,
     chordal_boundary_values,
     chordal_neighbour,
+    cross_ratio_at_twice_the_precision,
     exact_cross_ratio,
     exact_j,
     exact_orbit,
@@ -84,9 +85,11 @@ from helpers import (
     random_cover_model,
     render_curve_equation_reference,
     render_factor_curve_reference,
+    rounded_once,
     same_curve_by_scan,
     sampled_identity_errors_reference,
     sphere_gap,
+    to_double_reference,
     within_error_contract,
 )
 
@@ -402,6 +405,36 @@ def test_sphere_copies_lie_within_their_stated_bound(bits, re, im):
         mp.prec = saved
 
 
+# a part of a double copy: zero, inf, -inf, nan, or a signed mantissa of 1
+# to 1,100 bits, random or all ones (which rounds up a binade), whose top
+# exp + bc lies across the subnormal edge, across the overflow edge or
+# between them
+_DOUBLE_TOPS = st.one_of(st.integers(-1080, -1015), st.integers(1015, 1030),
+                         st.integers(-1014, 1014))
+
+
+@st.composite
+def _double_parts(draw):
+    kind = draw(st.sampled_from(["zero", "special", "random", "random", "ones"]))
+    if kind == "zero":
+        return fzero
+    if kind == "special":
+        return draw(st.sampled_from([finf, fninf, fnan]))
+    bc = draw(st.integers(1, 1100))
+    man = (1 << bc) - 1 if kind == "ones" else draw(st.integers(1 << (bc - 1), (1 << bc) - 1))
+    return from_man_exp(man if draw(st.booleans()) else -man, draw(_DOUBLE_TOPS) - bc)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_double_parts(), _double_parts())
+@example(from_man_exp((1 << 60) - 1, 1024 - 60), fzero)
+@example(from_man_exp((1 << 1100) - 1, -1100), fone)
+@example(from_man_exp(-((1 << 1024) - 1), -1024), fnan)
+def test_to_double_is_libmps_conversion(re, im):
+    got, want = numerics.to_double((re, im)), to_double_reference((re, im))
+    assert [repr(got.real), repr(got.imag)] == [repr(want.real), repr(want.imag)]
+
+
 def _reference_tags(report, candidates):
     """For each factor: the first candidate describing the same curve as a
     genus-1 factor, else its invariant; None for other genera."""
@@ -527,17 +560,6 @@ def test_tags_and_admissibility_agree_with_the_exact_oracle(eps, values):
         assert got == want
 
 
-def _reference_cross_ratio(points):
-    """(p4 - p2)(p3 - p1) / ((p4 - p1)(p3 - p2)) at twice the working
-    precision, a factor that holds inf read as 1."""
-    p1, p2, p3, p4 = points
-
-    def factor(p, q):
-        return mpc(1) if is_infinity(p) or is_infinity(q) else p - q
-    with mp.workprec(2 * mp.prec):
-        return factor(p4, p2) * factor(p3, p1) / (factor(p4, p1) * factor(p3, p2))
-
-
 def _outcome(function, points):
     """("value", its _mpc_) or ("raise", exception type, message)."""
     try:
@@ -571,7 +593,7 @@ def test_cross_ratio_lambda_meets_its_accuracy_contract(inputs):
     """cross_ratio_lambda, and on pairwise-distinct points its unchecked
     kernel, against the cross-ratio formula at twice the working precision:
     colliding points raise the collision error; any other value is off by
-    at most 16 units of 2^-prec of its modulus, and a value near the pole is
+    at most one unit of 2^-prec of its modulus, and a value near the pole is
     finite, and close to inf as the reference value's chordal distance
     says, outside the rounding."""
     bits, inf_at, centers, members = inputs
@@ -592,12 +614,43 @@ def test_cross_ratio_lambda_meets_its_accuracy_contract(inputs):
             return
         assert _outcome(numerics.cross_ratio_unchecked, points) == got
         assert got[0] == "value"
-        want, value = _reference_cross_ratio(points), mp.make_mpc(got[1])
+        want, value = cross_ratio_at_twice_the_precision(points), mp.make_mpc(got[1])
         with mp.workprec(2 * bits):
-            assert abs(value - want) <= 16 * mpf(2) ** -bits * abs(want)
+            assert abs(value - want) <= mpf(2) ** -bits * abs(want)
         distance = chordal(want, INFINITY)
         if abs(distance - epsilon()) > epsilon() * mpf(2) ** (8 - bits):
             assert close(value, INFINITY) == (distance <= epsilon())
+    finally:
+        mp.prec = saved
+
+
+# a cluster center for the exact kernel: (a + bi) 2^k / 3 for integers a and
+# b, so that the parts are full mantissas whose exponents lie within the
+# kernel's exact span at every precision drawn
+_EXACT_CENTERS = st.tuples(st.integers(-99, 99), st.integers(-99, 99), st.integers(-40, 40))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from([53, 128, 256]), st.sampled_from([None, 0, 1, 2, 3]),
+       st.lists(_EXACT_CENTERS, min_size=3, max_size=3),
+       st.lists(_MEMBERS, min_size=4, max_size=4))
+def test_cross_ratio_is_the_exact_value_rounded_once(bits, inf_at, centers, members):
+    """On pairwise-distinct points, each part of cross_ratio_unchecked is the
+    exact cross-ratio of the given points, rounded once to the working
+    precision, nearest-even; members of a cluster lie 2^-17 apart, so their
+    differences cancel most of their bits."""
+    saved = mp.prec
+    mp.prec = bits
+    try:
+        bases = [mpc(a, b) * mpf(2) ** k / 3 for a, b, k in centers]
+        points = [bases[index] + step * mpf(2) ** -17 * mpc(direction)
+                  for index, step, direction in members]
+        if inf_at is not None:
+            points[inf_at] = INFINITY
+        assume(first_collision(points) is None)
+        exact = [None if is_infinity(p) else GaussianRational.of(p) for p in points]
+        want = rounded_once(exact_cross_ratio(*exact), bits)
+        assert numerics.cross_ratio_unchecked(*points)._mpc_ == want
     finally:
         mp.prec = saved
 
@@ -1015,7 +1068,7 @@ def rounding_cases(draw):
 def test_integer_arithmetic_rounds_each_exact_part_once(case):
     prec, op, z, w = case
     ours, libmp = _LIBMP[op]
-    x, y, e = ours(constructions._gauss(z), constructions._gauss(w), prec)
+    x, y, e = ours(numerics._gauss(z), numerics._gauss(w), prec)
     want = [mpf_pos(part, prec, round_nearest) for part in libmp(z, w, 0)]
     assert [from_man_exp(x, e), from_man_exp(y, e)] == want
 
@@ -1034,7 +1087,7 @@ def _gauss_values(draw, prec):
         man = draw(st.integers(0, (1 << (prec - 1)) - 1)) * 2 + 1
         parts.append(from_man_exp(man if draw(st.booleans()) else -man,
                                   draw(st.integers(-1500, 1200))))
-    return constructions._gauss(tuple(parts))
+    return numerics._gauss(tuple(parts))
 
 
 @settings(max_examples=300, deadline=None)
