@@ -7,7 +7,8 @@ tagging against the first-candidate close scan and, with admissibility,
 against the exact Gaussian-rational oracle, the orbit table and same_curve
 against the close scan over the six orbit images, the genus-5, genus-9
 and genus-13 families' split over their parameter spaces, cross_ratio_lambda against the
-cross-ratio formula at twice the precision, the solver oracles' distinct points after
+cross-ratio formula at twice the precision and its kernel against the exact value rounded
+once, to_double against libmp's conversion, the solver oracles' distinct points after
 admission, the sampled equation identity within its error contract of
 the one-product-per-equation reference loop and equal to the two-part
 integer kernel's, its integer arithmetic
