@@ -51,6 +51,10 @@ CASES = {
                            "1.5+1.5i,1.5-1.5i,2.25,0.5i,-2.5-0.4i,3,-0.7+0.2i,2.5+2i"],
     "decompose_chain_r9": ["decompose", "reducible", "--chain",
                            "2,-1.5,0.3+1.1i,3/4,-2i,5,-0.7+0.2i,2.5+2i,-2.75"],
+    # pair 2's first root lands on p_2 = 2.1964847243000456 and is refused,
+    # so the solver takes the other root
+    "decompose_chain_root_collides": ["decompose", "reducible", "--chain",
+                                      "2,3,4,5,5.3073450074801638"],
     "decompose_chain_r7_p256": ["decompose", "reducible", "--chain",
                                 "2,3,4,5,6,7,8", "--precision", "256"],
     "decompose_chain_r11": ["decompose", "reducible", "--chain",
