@@ -22,6 +22,7 @@ from .legendre import (
     InvalidDomain,
     OrbitTable,
     admissible_entry,
+    admit_next,
     branch_set_pairing,
     cross_ratio_lambda,
     require_admissible_tuple,
@@ -35,6 +36,9 @@ from .numerics import (
     first_collision,
     first_near,
     format_point,
+    gaussian_cross_ratio,
+    gaussian_points,
+    near_table,
     negligible,
     solve_quadratic,
     to_complex,
@@ -140,6 +144,14 @@ class ReducibleParams:
         object.__setattr__(self, "lam", to_complex(lam))
         object.__setattr__(self, "mu", pairs)
         require_admissible_tuple(self.flat(), name="p")
+
+    @classmethod
+    def admitted(cls, lam: mpc, pairs: tuple) -> ReducibleParams:
+        """Params of mpc values whose tuple is admitted, not validated again."""
+        params = object.__new__(cls)
+        object.__setattr__(params, "lam", lam)
+        object.__setattr__(params, "mu", pairs)
+        return params
 
     @property
     def s(self) -> int:
@@ -290,11 +302,11 @@ def _pick_root(quadratic, admit, oracles, orbits: OrbitTable, heading: str,
     ``admit`` accepts (else it raises InvalidDomain) and whose admitted last
     pair (mu, k mu) passes the (target, p1, p2, message) oracles in order:
     the cross-ratio of (p1, p2, mu, k mu) lies in the target's orbit from
-    ``orbits``.  Admission has shown those points pairwise distinct under
-    the same close rule, so the cross-ratio is cross_ratio_unchecked, whose
-    admissibility same_curve tests.  A root stops at its first failure;
-    only then is that message, a ``str.format`` template over ``mu`` and
-    ``context``, formatted."""
+    ``orbits``.  Admission (ReducibleParams, or admit_next of the pair) has
+    shown those points pairwise distinct under the same close rule, so the
+    cross-ratio is cross_ratio_unchecked, whose admissibility same_curve
+    tests.  A root stops at its first failure; only then is that message, a
+    ``str.format`` template over ``mu`` and ``context``, formatted."""
     failures = []
     for root in solve_quadratic(*quadratic):
         try:
@@ -374,12 +386,12 @@ def solve_mu_chain(lambdas, orbits: OrbitTable | None = None) -> ReducibleParams
     For each pair index j the second entry is lambda_{j+1} times the first,
     which pins the (inf, 0) branch-set factor, and the quadratic pins the
     (1, lam) branch-set factor to lambda_{s-1+j}.  Both roots are tried in
-    a deterministic order.  A root is admitted as the ReducibleParams that
-    extends the pairs so far by (mu, lambda_{j+1} mu), one validation of
-    the whole tuple, and then certified by the cross-ratio oracles; the
-    last admitted params are the result.  The oracles take each target's
-    orbit from ``orbits`` (a fresh table when None), which tag_factors can
-    then reuse.
+    a deterministic order.  The input is validated once; a tried root is
+    admitted by checking only its pair (mu, lambda_{j+1} mu) against the
+    tuple admitted so far (admit_next, with the errors of ReducibleParams
+    of the whole tuple), and then certified by the cross-ratio oracles.  The
+    oracles take each target's orbit from ``orbits`` (a fresh table when
+    None), which tag_factors can then reuse.
     """
     orbits = OrbitTable() if orbits is None else orbits
     values = require_admissible_tuple(lambdas)
@@ -388,7 +400,14 @@ def solve_mu_chain(lambdas, orbits: OrbitTable | None = None) -> ReducibleParams
         raise InvalidDomain("need an odd number r >= 3 of parameters, got %d" % r)
     s = (r + 3) // 2
     lam = values[0]
+    zero, one = mpc(0), mpc(1)
+    table, entries = near_table([lam]), []
     pairs = ()
+
+    def admit(mu):  # the pair's entries wait in entries until its oracles pass
+        pair = mu, ratio * mu
+        entries[:] = admit_next(table, pair, "p")
+        return ReducibleParams.admitted(lam, pairs + (pair,))
     for j in range(1, s - 1):
         ratio = values[j]
         target = values[s - 2 + j]
@@ -397,12 +416,13 @@ def solve_mu_chain(lambdas, orbits: OrbitTable | None = None) -> ReducibleParams
         c = lam * (1 - target)
         params = _pick_root(
             (a, b, c),
-            lambda mu: ReducibleParams(lam, pairs + ((mu, ratio * mu),)),
-            [(ratio, INFINITY, mpc(0), "ratio oracle failed at pair {pair}"),
-             (target, mpc(1), lam, "target oracle failed at pair {pair}")],
+            admit,
+            [(ratio, INFINITY, zero, "ratio oracle failed at pair {pair}"),
+             (target, one, lam, "target oracle failed at pair {pair}")],
             orbits,
             "pair {pair}: no root passes the checks: ", pair=j)
         pairs = params.mu
+        table.extend(entries)
     return params
 
 
@@ -530,19 +550,24 @@ def tag_factors(report: DecompositionReport, candidates,
     The candidates' orbits come from ``orbits`` (a fresh table when None)
     and form one list of their six near entries each, in candidate order, so
     the first entry close to the invariant belongs to the first matching
-    candidate.  Each invariant is cross_ratio_unchecked of the factor's
-    roots, which their CoverModel has checked with the same close rule: the
-    exact cross-ratio of those roots, rounded once per part.  One sphere
-    copy of each invariant serves the admissibility test and the orbit
-    scan."""
+    candidate.  Each invariant has the bits of cross_ratio_unchecked of the
+    factor's roots, which their CoverModel has checked with the same close
+    rule: gaussian_cross_ratio from one gaussian_points of every genus-1
+    root, or where those span too wide, that call.  One sphere copy of each
+    invariant serves the admissibility test and the orbit scan."""
     orbits = OrbitTable() if orbits is None else orbits
     table = [entry for candidate in candidates for entry in orbits.orbit(candidate)]
+    roots = [curve.genus == 1 and [None if p is INFINITY else p._mpc_ for p in curve.roots]
+             for _, curve in report.factors]
+    exact = gaussian_points({z for points in roots if points for z in points}, mp.prec)
 
-    def tag(curve):
-        invariant = cross_ratio_unchecked(*curve.roots)
+    def tag(curve, points):
+        invariant = (cross_ratio_unchecked(*curve.roots) if exact is None
+                     else gaussian_cross_ratio(*[exact[z] for z in points], mp.prec))
         k = first_near(admissible_entry(invariant._mpc_), table)
         return invariant if k is None else candidates[k // 6]
-    return [tag(curve) if curve.genus == 1 else None for _, curve in report.factors]
+    return [tag(curve, points) if points else None
+            for (_, curve), points in zip(report.factors, roots)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,11 @@ orbit of the six-element group generated by t -> 1/t and t -> 1 - t.
 from __future__ import annotations
 
 import cmath
-import functools
 import random
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, nstr
+from mpmath.libmp import fone, fzero, mpc_sub, round_nearest
 
 # cross_ratio_lambda is re-exported: it is the Legendre parameter t of four
 # branch points normalized to (inf, 0, 1, t), which same_curve compares.
@@ -77,10 +77,28 @@ def require_admissible_tuple(values, name: str = "lambda") -> list[mpc]:
     out = [require_admissible(v, "%s_%d" % (name, i + 1)) for i, v in enumerate(values)]
     pair = first_collision(out)
     if pair is not None:
-        i, j = pair
-        raise InvalidDomain("%s_%d and %s_%d coincide within tolerance (%s)"
-                            % (name, i + 1, name, j + 1, _shown(out[i])))
+        raise _coincide(name, *pair, out[pair[0]])
     return out
+
+
+def admit_next(table: list, values, name: str = "lambda") -> list:
+    """require_admissible_tuple of the admitted tuple of near_table ``table``
+    and the mpc ``values``, from the new values alone: their admissibility,
+    then the pairs that hold one, in first_collision's (i, j) order and as it
+    decides one; returns their near entries."""
+    n = len(table)
+    new = [admissible_entry(v._mpc_, "%s_%d" % (name, n + k + 1)) for k, v in enumerate(values)]
+    entries = table + new
+    for i, entry in enumerate(entries[:-1]):
+        k = first_near(entry, entries[max(i + 1, n):])
+        if k is not None:
+            raise _coincide(name, i, max(i + 1, n) + k, entry_value(entry))
+    return new
+
+
+def _coincide(name: str, i: int, j: int, value) -> InvalidDomain:
+    return InvalidDomain("%s_%d and %s_%d coincide within tolerance (%s)"
+                         % (name, i + 1, name, j + 1, _shown(value)))
 
 
 def orbit_images(t) -> list:
@@ -102,17 +120,21 @@ def _orbit_entries(t) -> list:
     and (t - 1)/t are their reciprocal_copy.  Each lies within 2^-48 of its
     point, as first_near requires: t~, o~ and the quotient add a few units
     of 2^-53.  When t~ or o~ has an infinite part, or o~ is 0, each copy is
-    read from its image.  The images are orbit_images(t), built when one of
-    them is first read (entry_value)."""
-    one_minus = (1 - mp.make_mpc(t))._mpc_
+    read from its image.  The images are orbit_images(t), built once when
+    one of them is first read (entry_value)."""
+    one_minus = mpc_sub((fone, fzero), t, mp.prec, round_nearest)
     td, od = to_double(t), to_double(one_minus)
-    images = functools.cache(functools.partial(orbit_images, t))
-    if cmath.isfinite(td) and cmath.isfinite(od) and od:
-        values = [t, lambda: images()[1], one_minus, lambda: images()[3],
-                  lambda: images()[4], lambda: images()[5]]
-        copies = [sphere_copy(td, t), sphere_copy(od, one_minus), sphere_copy(-td / od, values[4])]
-        return list(zip([c for copy in copies for c in (copy, reciprocal_copy(copy))], values))
-    return list(map(near_entry, images()))
+    if not (cmath.isfinite(td) and cmath.isfinite(od) and od):
+        return list(map(near_entry, orbit_images(t)))
+    images: list = []
+
+    def image(k):
+        if not images:
+            images.extend(orbit_images(t))
+        return images[k]
+    values = [t, lambda: image(1), one_minus, lambda: image(3), lambda: image(4), lambda: image(5)]
+    copies = [sphere_copy(td, t), sphere_copy(od, one_minus), sphere_copy(-td / od, values[4])]
+    return list(zip([c for copy in copies for c in (copy, reciprocal_copy(copy))], values))
 
 
 def s3_orbit(value) -> list[mpc]:

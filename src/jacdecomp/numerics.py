@@ -16,9 +16,10 @@ import re
 import sys
 from dataclasses import dataclass
 
-from mpmath import isfinite, mp, mpc, mpf, nstr, sqrt
-from mpmath.libmp import (fone, from_int, fzero, mpc_div, mpc_mul, mpc_sub, mpc_to_complex, mpf_add,
-                          mpf_div, mpf_le, mpf_mul, mpf_pos, round_nearest)
+from mpmath import isfinite, mp, mpc, mpf, nstr
+from mpmath.libmp import (fone, fzero, mpc_add, mpc_div, mpc_mul, mpc_mul_int, mpc_neg, mpc_sqrt,
+                          mpc_sub, mpc_to_complex, mpf_add, mpf_le, mpf_mul, mpf_pos, normalize,
+                          round_nearest)
 
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_EPSILON = "1e-9"
@@ -486,56 +487,77 @@ def cross_ratio_unchecked(p1, p2, p3, p4) -> mpc:
 
     with the factors that hold inf dropped (at most one point is inf), each
     part the exact value rounded once to mp.prec bits, nearest-even: the
-    factors are exact Gaussian integers at one exponent (_gauss), which
-    cancels, and each part is one mpf_div.  Where the nonzero parts of the
-    points span more than 3 mp.prec + 64 bits, so that some lie more than
-    about 2 mp.prec + 64 bits apart, the factors and the quotient are mpc
-    operations at that many bits, then rounded to mp.prec: no integer grows
-    with the gap, and the modulus error stays below one unit of 2^-mp.prec
-    of the value's modulus.  The value may lie within tolerance of 0, 1 or
-    inf, which admissibility tests.
+    gaussian_cross_ratio of gaussian_points.  Where those refuse the points,
+    the factors and the quotient are mpc operations at 2 mp.prec + 64 bits,
+    rounded to mp.prec: no integer grows with an exponent gap, and the
+    modulus error stays below one unit of 2^-mp.prec of the value's modulus.
+    The value may lie within tolerance of 0, 1 or inf, which admissibility
+    tests.
     """
     prec = mp.prec
-    wide = 2 * prec + 64
     points = [None if p is INFINITY else p._mpc_ for p in (p1, p2, p3, p4)]
+    exact = gaussian_points(points, prec)
+    if exact is not None:
+        return gaussian_cross_ratio(*[exact[z] for z in points], prec)
+    wide = 2 * prec + 64
+    a, b, c, d = [(fone, fzero) if points[i] is None or points[j] is None
+                  else mpc_sub(points[i], points[j], wide, round_nearest)
+                  for i, j in ((3, 1), (2, 0), (3, 0), (2, 1))]
+    re, im = mpc_div(mpc_mul(a, b, wide, round_nearest), mpc_mul(c, d, wide, round_nearest),
+                     wide, round_nearest)
+    return mp.make_mpc((mpf_pos(re, prec, round_nearest), mpf_pos(im, prec, round_nearest)))
+
+
+def gaussian_points(points, prec: int) -> dict | None:
+    """Each raw ``_mpc_`` tuple -> its _gauss at one exponent, the lowest of
+    their nonzero parts, and None (inf) -> None; or None where those parts
+    span more than 3 prec + 64 bits, which no subset of a set within does."""
     parts = [part for z in points if z for part in z if part[1]]
-    low = min([part[2] for part in parts])
-    exact = max([part[2] + part[3] for part in parts]) - low <= wide + prec
-    if exact:
-        points = [z and _gauss(z, low) for z in points]
-    # p4 - p2 and p3 - p1 above the bar, p4 - p1 and p3 - p2 below
-    pairs = [(points[i], points[j]) for i, j in ((3, 1), (2, 0), (3, 0), (2, 1))]
-    if not exact:
-        a, b, c, d = [(fone, fzero) if p is None or q is None
-                      else mpc_sub(p, q, wide, round_nearest) for p, q in pairs]
-        re, im = mpc_div(mpc_mul(a, b, wide, round_nearest), mpc_mul(c, d, wide, round_nearest),
-                         wide, round_nearest)
-        return mp.make_mpc((mpf_pos(re, prec, round_nearest), mpf_pos(im, prec, round_nearest)))
+    low = min([part[2] for part in parts], default=0)
+    if max([part[2] + part[3] for part in parts], default=0) - low > 3 * prec + 64:
+        return None
+    return {z: z and _gauss(z, low) for z in points}
+
+
+def gaussian_cross_ratio(z1, z2, z3, z4, prec: int) -> mpc:
+    """cross_ratio_unchecked of gaussian_points of its points: the common
+    exponent cancels, and each part is one rounded_quotient."""
+    # z4 - z2 and z3 - z1 above the bar, z4 - z1 and z3 - z2 below
     (a, b), (c, d), (u, v), (s, t) = [(1, 0) if p is None or q is None
-                                      else (p[0] - q[0], p[1] - q[1]) for p, q in pairs]
+                                      else (p[0] - q[0], p[1] - q[1])
+                                      for p, q in ((z4, z2), (z3, z1), (z4, z1), (z3, z2))]
     x, y, u, v = a * c - b * d, a * d + b * c, u * s - v * t, u * t + v * s
-    norm = from_int(u * u + v * v)
-    return mp.make_mpc((mpf_div(from_int(x * u + y * v), norm, prec, round_nearest),
-                        mpf_div(from_int(y * u - x * v), norm, prec, round_nearest)))
+    norm = u * u + v * v
+    return mp.make_mpc((rounded_quotient(x * u + y * v, norm, prec),
+                        rounded_quotient(y * u - x * v, norm, prec)))
+
+
+def rounded_quotient(n: int, d: int, prec: int) -> tuple:
+    """The raw mpf n / d, d > 0, rounded to nearest-even at prec bits, by
+    mpf_div's recipe: a quotient of at least prec + 5 bits, a sticky bit."""
+    extra = max(prec - abs(n).bit_length() + d.bit_length() + 5, 5)
+    quot, rem = divmod(abs(n) << extra, d)
+    if rem:
+        quot, extra = (quot << 1) | 1, extra + 1
+    return normalize(int(n < 0), quot, -extra, quot.bit_length(), prec, round_nearest)
 
 
 def solve_quadratic(a, b, c) -> tuple[mpc, mpc]:
     """Both roots of a*x^2 + b*x + c = 0, in a deterministic order.
 
     The root with non-negative imaginary part comes first; ties are broken
-    by descending real part.
+    by descending real part.  Each step is the libmp operation of the mpc
+    expressions (-b +- sqrt(b*b - 4*a*c)) / (2*a).
     """
     a, b, c = to_complex(a), to_complex(b), to_complex(c)
     if negligible(a, a, b, c):
         raise DegenerateLeadingCoefficient("leading coefficient is zero within tolerance")
-    disc = b * b - 4 * a * c
-    root = sqrt(disc)
-    r1 = (-b + root) / (2 * a)
-    r2 = (-b - root) / (2 * a)
-
-    def key(r):
-        d = to_double(r._mpc_)
-        return (0 if r.imag >= 0 else 1, -d.real, -d.imag)
-
-    r1, r2 = sorted((r1, r2), key=key)
-    return r1, r2
+    prec, (a, b, c) = mp.prec, (a._mpc_, b._mpc_, c._mpc_)
+    four_ac = mpc_mul(mpc_mul_int(a, 4, prec, round_nearest), c, prec, round_nearest)
+    disc = mpc_sub(mpc_mul(b, b, prec, round_nearest), four_ac, prec, round_nearest)
+    root, minus_b = mpc_sqrt(disc, prec, round_nearest), mpc_neg(b, prec, round_nearest)
+    twice_a = mpc_mul_int(a, 2, prec, round_nearest)
+    roots = [mpc_div(f(minus_b, root, prec, round_nearest), twice_a, prec, round_nearest)
+             for f in (mpc_add, mpc_sub)]
+    r1, r2 = sorted(roots, key=lambda r: (r[1][0], -to_double(r).real, -to_double(r).imag))
+    return mp.make_mpc(r1), mp.make_mpc(r2)

@@ -666,6 +666,47 @@ def test_tag_factors_invariants_are_the_exact_cross_ratios_rounded_once(bits):
         mp.prec = saved
 
 
+def _untagged_invariants(report):
+    # with no candidates, every genus-1 factor reports its invariant
+    return [(curve, tag) for (_, curve), tag in zip(report.factors, cons.tag_factors(report, []))
+            if curve.genus == 1]
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+def test_tagging_table_gives_the_bits_of_cross_ratio_unchecked(bits):
+    # one Gaussian table of every genus-1 root serves all invariants; each is
+    # == cross_ratio_unchecked of its own factor's roots
+    saved = mp.prec
+    mp.prec = bits
+    try:
+        rng = random.Random(bits)
+        models = [build_irreducible(random_admissible(rng, r)) for r in range(3, 9)]
+        models += [build_reducible(solve_mu_chain(random_admissible(rng, r))) for r in (3, 5, 7)]
+        for model in models:
+            for curve, tag in _untagged_invariants(decompose(model)):
+                assert tag._mpc_ == cons.cross_ratio_unchecked(*curve.roots)._mpc_
+    finally:
+        mp.prec = saved
+
+
+@pytest.mark.parametrize("lambdas, per_factor", [
+    ("1e-300+1i,2+1e-250i,3-1e-280i,-5+1e-270i,7", True),
+    ("2,-1.5,0.3+1.1i,3/4,5", False),
+])
+def test_tagging_takes_the_per_factor_path_beyond_one_exponent(monkeypatch, lambdas, per_factor):
+    # the roots of the far-exponents golden span about 1,000 bits, beyond
+    # 3 prec + 64, so each invariant is cross_ratio_unchecked of its factor
+    report = decompose(build_irreducible([numerics.parse_point(t) for t in lambdas.split(",")]))
+    calls = []
+    unchecked = cons.cross_ratio_unchecked
+    monkeypatch.setattr(cons, "cross_ratio_unchecked",
+                        lambda *points: calls.append(points) or unchecked(*points))
+    invariants = _untagged_invariants(report)
+    assert len(calls) == (len(invariants) if per_factor else 0)
+    for curve, tag in invariants:
+        assert tag._mpc_ == unchecked(*curve.roots)._mpc_
+
+
 def test_chain_solver_and_tagging_build_each_orbit_once(monkeypatch):
     from jacdecomp import cli
 
@@ -690,14 +731,19 @@ def test_solver_oracles_repeat_no_collision_check(monkeypatch):
 
 
 def test_chain_validates_each_root_once(monkeypatch):
-    lengths = []
-    check = cons.require_admissible_tuple
+    lengths, admitted = [], []
+    check, admit = cons.require_admissible_tuple, cons.admit_next
     monkeypatch.setattr(cons, "require_admissible_tuple",
                         lambda values, name="lambda": lengths.append(len(values))
                         or check(values, name))
+    monkeypatch.setattr(cons, "admit_next",
+                        lambda table, values, name: admitted.append((len(table), len(values)))
+                        or admit(table, values, name))
     solve_mu_chain([2, 3, 4, 5, 6, 7, 8])
-    # the input, then one validation per root tried and no closing one
-    assert lengths == [7, 3, 5, 7]
+    # the input once; each root tried checks its two values against the
+    # tuple admitted so far, and no closing validation follows
+    assert lengths == [7]
+    assert admitted == [(1, 2), (3, 2), (5, 2)]
 
 
 def test_chain_even_case_realizes_bound():

@@ -3,6 +3,7 @@ import time
 
 import pytest
 from mpmath import mp, mpc, mpf, sqrt
+from mpmath.libmp import from_int, mpf_div, round_nearest
 
 from jacdecomp import numerics
 from jacdecomp.numerics import (
@@ -407,3 +408,22 @@ def test_cross_ratio_of_parts_far_apart_is_quick_and_meets_its_contract(gap, bit
             assert cross_ratio_lambda(*points)._mpc_ == value._mpc_
     finally:
         mp.prec = saved
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256, 1100])
+def test_rounded_quotient_is_mpf_div_of_the_integers(bits):
+    """The exact kernel's one rounding step gives mpf_div's bits on the same
+    integers: zero and negative numerators, exact quotients, d = 1 and
+    random widths up to twice the precision and beyond."""
+    rng = random.Random(bits)
+    cases = [(0, 1), (0, 7), (1, 1), (-1, 1), (6, 3), (-6, 3), (3 << 200, 3), (-(5 << 77), 5 << 11),
+             (7 * 11 ** 40, 11 ** 40), (12345, 1), (-(2 ** (bits + 9) + 1), 1),
+             ((2 ** (bits + 1) - 1) << 3, 2), (1, 3), (-2, 3), (2 ** bits - 1, 2 ** bits)]
+    for _ in range(300):
+        n = rng.getrandbits(rng.randint(1, 3 * bits)) * rng.choice([1, -1])
+        d = rng.getrandbits(rng.randint(1, 3 * bits)) or 1
+        cases.append((n, d))
+        cases.append((n * d, d))
+    for n, d in cases:
+        want = mpf_div(from_int(n), from_int(d), bits, round_nearest)
+        assert numerics.rounded_quotient(n, d, bits) == want, (n, d)

@@ -9,7 +9,7 @@ against the close scan over the six orbit images, the genus-5, genus-9
 and genus-13 families' split over their parameter spaces, cross_ratio_lambda against the
 cross-ratio formula at twice the precision and its kernel against the exact value rounded
 once, to_double against libmp's conversion, the solver oracles' distinct points after
-admission, the sampled equation identity within its error contract of
+admission, one-pair admission against the whole tuple's validation, the sampled equation identity within its error contract of
 the one-product-per-equation reference loop and equal to the two-part
 integer kernel's, its integer arithmetic
 against the exact results of libmp's mpc_mul, mpc_add and mpc_sub rounded
@@ -752,6 +752,47 @@ def test_admitted_root_leaves_its_oracle_points_distinct(eps, step):
             assert first_collision(points) is None
             assert _outcome(numerics.cross_ratio_unchecked, points) == _outcome(
                 cross_ratio_lambda, points)
+    finally:
+        numerics.set_epsilon(saved)
+
+
+def _admission(function, *args):
+    """("value", the raw tuples of the params' values) or ("raise", message)."""
+    try:
+        params = function(*args)
+    except legendre.InvalidDomain as exc:
+        return "raise", str(exc)
+    return "value", [value._mpc_ for value in params.flat()]
+
+
+def _admit_pair(lam, pairs, pair):
+    """The chain solver's admission of ``pair`` after the admitted (lam, pairs)."""
+    legendre.admit_next(near_table([lam, *(v for p in pairs for v in p)]), pair, "p")
+    return constructions.ReducibleParams.admitted(lam, pairs + (pair,))
+
+
+@pytest.mark.parametrize("eps", ["1e-30", "1e-9", "0.01"])
+@settings(max_examples=60, deadline=None)
+@given(solver_steps())
+def test_one_pair_admission_is_the_whole_tuple_validation(eps, step):
+    """The solvers admit a root by checking only its pair (mu, k mu) against
+    the tuple admitted so far: that gives the params of
+    ReducibleParams(lam, pairs + ((mu, k mu),)), or its InvalidDomain
+    message."""
+    values, mu_recipe, partner_recipe = step
+    saved = epsilon()
+    numerics.set_epsilon(eps)
+    try:
+        anchors = [mpc(0), mpc(1)] + [mpc(v) for v in values]
+        lam, earlier = anchors[2], anchors[3:]
+        pairs = tuple(zip(earlier[::2], earlier[1::2]))
+        mu = _resolve_root(mu_recipe, anchors)
+        partner = _resolve_root(partner_recipe, anchors + [mu])
+        assume(not is_infinity(mu) and mu != 0 and not is_infinity(partner))
+        ratio = partner / mu
+        want = _admission(constructions.ReducibleParams, lam, pairs + ((mu, ratio * mu),))
+        event(want[0])
+        assert _admission(_admit_pair, lam, pairs, (mu, ratio * mu)) == want
     finally:
         numerics.set_epsilon(saved)
 
