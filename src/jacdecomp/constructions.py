@@ -404,7 +404,9 @@ def solve_mu_chain(lambdas, orbits: OrbitTable | None = None) -> ReducibleParams
     table, entries = near_table([lam]), []
     pairs = ()
 
-    def admit(mu):  # the pair's entries wait in entries until its oracles pass
+    # _pick_root calls admit within one step, whose ratio and pairs it reads;
+    # the pair's near entries wait in entries until its oracles pass
+    def admit(mu):
         pair = mu, ratio * mu
         entries[:] = admit_next(table, pair, "p")
         return ReducibleParams.admitted(lam, pairs + (pair,))
